@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   std::vector<QueryResult> baseline(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     BufferPool pool(&file, &baseline[i].io);
-    DispatchQuery(index, batch[i], &pool, &baseline[i]);
+    DispatchQuery(IndexedQuery{&index, batch[i]}, &pool, &baseline[i]);
   }
 
   info << "# " << dataset.elements.size() << " neuron elements, "
@@ -210,11 +210,17 @@ int main(int argc, char** argv) {
   // Pass 2: a permanent fault on one mid-file page — typed kIoError for the
   // queries that need it, bit-identical results for everyone else.
   {
-    FaultSchedule schedule;
-    schedule.FailRead(static_cast<PageId>(file.page_count() / 2),
-                      /*times=*/1u << 30);
     FaultInjectingPageStore::Options store_options;
     store_options.max_read_retries = 2;
+    // Every attempt the batch can make fails: a query ends at its first
+    // failed read, which costs 1 + max_read_retries attempts. (The schedule
+    // stores one spec per attempt, so an unbounded count would not fit in
+    // memory.)
+    FaultSchedule schedule;
+    schedule.FailRead(
+        static_cast<PageId>(file.page_count() / 2),
+        static_cast<uint32_t>(batch.size() *
+                              (store_options.max_read_retries + 1)));
     FaultInjectingPageStore store(&file, &schedule, store_options);
     FlatIndex through = FlatIndex::Attach(&store, index.descriptor());
     auto [pass, results] = run_pass("permanent", through, batch,

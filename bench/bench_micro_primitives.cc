@@ -152,19 +152,6 @@ void BM_CoverGateSimdAos(benchmark::State& state) {
 }
 BENCHMARK(BM_CoverGateSimdAos);
 
-void BM_CoverGateSoa(benchmark::State& state) {
-  // SoA already resident (the descent shares the transpose with the
-  // intersection gate): the steady-state containment gate alone.
-  auto& f = NodePage();
-  const Aabb cover(Vec3(5, 5, 5), Vec3(95, 95, 95));
-  for (auto _ : state) {
-    ContainsSoa(f.soa, cover, f.hits.data());
-    benchmark::DoNotOptimize(f.hits.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.count);
-}
-BENCHMARK(BM_CoverGateSoa);
-
 void BM_SphereGateScalarLoop(benchmark::State& state) {
   // Pre-SIMD sphere path: per-element IntersectsSphere over the page.
   auto& f = NodePage();

@@ -39,9 +39,13 @@ enum class QueryStatus : uint8_t {
   kRejected,
   /// The control's max_page_reads I/O budget was exhausted.
   kBudgetExceeded,
+  /// The query type is not supported in this context (kKnn over a delta
+  /// overlay or a sharded store); nothing ran and no page was read.
+  /// QueryResult::error says why.
+  kUnsupported,
 };
 
-inline constexpr int kNumQueryStatuses = 6;
+inline constexpr int kNumQueryStatuses = 7;
 
 inline const char* QueryStatusName(QueryStatus status) {
   switch (status) {
@@ -57,6 +61,8 @@ inline const char* QueryStatusName(QueryStatus status) {
       return "kRejected";
     case QueryStatus::kBudgetExceeded:
       return "kBudgetExceeded";
+    case QueryStatus::kUnsupported:
+      return "kUnsupported";
   }
   return "kUnknown";
 }

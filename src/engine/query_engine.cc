@@ -38,8 +38,8 @@ class ScratchControlGuard {
 // Turns an escaped execution exception into the query's typed fail-soft
 // outcome: QueryAbort carries its own status; anything else is an I/O
 // failure (the storage backends throw std::runtime_error once their retry
-// budget is exhausted). std::logic_error — API misuse, e.g. kKnn over an
-// overlay — is NOT absorbed; the caller rethrows it. The partial ids
+// budget is exhausted). std::logic_error — API misuse — is NOT absorbed;
+// the caller rethrows it. The partial ids
 // gathered so far remain valid; kRangeCount partials keep the tally
 // accumulated up to the stop point (RangeCountInto bumps the result's
 // counter in place; the overlay path materializes ids, so the larger of
@@ -53,11 +53,6 @@ void SettleFailedResult(const Query& query, QueryResult* result) {
     result->count = result->ids.size();
   }
 }
-
-void DispatchQueryWithOverlayImpl(const FlatIndex* index, const Query& query,
-                                  PageCache* cache, const OverlayView* overlay,
-                                  size_t overlay_bucket, QueryResult* result,
-                                  CrawlScratch* scratch);
 
 }  // namespace
 
@@ -146,19 +141,8 @@ std::vector<QueryResult> QueryEngine::RunMulti(
   }
 
   if (stats != nullptr) {
-    *stats = BatchStats{};
+    *stats = TallyBatch(results);
     stats->threads = pool_.threads();
-    for (const QueryResult& r : results) {
-      stats->io += r.io;
-      stats->result_elements += r.count;
-      if (r.status == QueryStatus::kOk) {
-        ++stats->queries_ok;
-      } else if (r.status == QueryStatus::kRejected) {
-        ++stats->queries_shed;
-      } else {
-        ++stats->queries_failed;
-      }
-    }
     stats->wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -197,42 +181,110 @@ bool QueryEngine::Steal(size_t worker_index, size_t* query_index) {
   return false;
 }
 
+BatchStats TallyBatch(const std::vector<QueryResult>& results) {
+  BatchStats stats;
+  for (const QueryResult& r : results) {
+    stats.io += r.io;
+    stats.result_elements += r.count;
+    if (r.status == QueryStatus::kOk) {
+      ++stats.queries_ok;
+    } else if (r.status == QueryStatus::kRejected) {
+      ++stats.queries_shed;
+    } else {
+      ++stats.queries_failed;
+    }
+  }
+  return stats;
+}
+
 namespace {
 
-void DispatchQueryImpl(const FlatIndex& index, const Query& query,
-                       PageCache* cache, QueryResult* result,
-                       CrawlScratch* scratch) {
+// The one switch over Query::Type. `index` is null when there is no page
+// store to read; `overlay` is null when there is no live overlay to merge.
+void RunQuery(const FlatIndex* index, const OverlayView* overlay,
+              size_t bucket, const Query& query, PageCache* cache,
+              QueryResult* result, CrawlScratch* scratch) {
+  // With an overlay, the base ids it touches are stale: FilterOverlayMasked
+  // drops them before the overlay's own matches are appended.
+  std::vector<uint64_t>* ids = &result->ids;
+  uint64_t probes = 0;
   switch (query.type) {
     case Query::Type::kRange:
-      index.RangeQuery(cache, query.box, &result->ids, scratch, query.guard);
-      result->count = result->ids.size();
+      if (index != nullptr) {
+        index->RangeQuery(cache, query.box, ids, scratch, query.guard);
+      }
+      if (overlay != nullptr) {
+        FilterOverlayMasked(*overlay, ids);
+        probes = AppendOverlayRangeMatches(*overlay, bucket, query.box, ids,
+                                           scratch);
+      }
       break;
     case Query::Type::kRangeCount:
-      // Accumulates into the result's counter in place so a fail-soft stop
-      // surfaces the partial tally (SettleFailedResult keeps it).
-      index.RangeCountInto(cache, query.box, &result->count, scratch);
-      break;
+      if (overlay == nullptr) {
+        // Accumulates into the result's counter in place so a fail-soft
+        // stop surfaces the partial tally (SettleFailedResult keeps it).
+        if (index != nullptr) {
+          index->RangeCountInto(cache, query.box, &result->count, scratch);
+        }
+        return;
+      }
+      // Delete masking needs the ids, so run the materializing range path
+      // (identical page reads by the FlatIndex contract), count the
+      // survivors plus overlay matches, and drop the vector.
+      if (index != nullptr) {
+        index->RangeQuery(cache, query.box, ids, scratch, query.guard);
+        FilterOverlayMasked(*overlay, ids);
+      }
+      result->count = ids->size();
+      ids->clear();
+      result->io.RecordOverlayProbes(CountOverlayRangeMatches(
+          *overlay, bucket, query.box, &result->count, scratch));
+      return;
     case Query::Type::kSeedScan:
-      index.RangeQueryViaSeedScan(cache, query.box, &result->ids, scratch);
-      result->count = result->ids.size();
+      if (index != nullptr) {
+        index->RangeQueryViaSeedScan(cache, query.box, ids, scratch);
+      }
+      if (overlay != nullptr) {
+        FilterOverlayMasked(*overlay, ids);
+        probes = AppendOverlayRangeMatches(*overlay, bucket, query.box, ids,
+                                           scratch);
+      }
       break;
     case Query::Type::kKnn:
-      result->ids = index.KnnQuery(cache, query.center, query.k, scratch);
-      result->count = result->ids.size();
+      if (overlay != nullptr) {
+        result->status = QueryStatus::kUnsupported;
+        result->error = "kKnn is not supported over a delta overlay";
+        return;
+      }
+      if (index != nullptr) {
+        *ids = index->KnnQuery(cache, query.center, query.k, scratch);
+      }
       break;
     case Query::Type::kSphere:
-      index.SphereQuery(cache, query.center, query.radius, &result->ids,
-                        scratch);
-      result->count = result->ids.size();
+      if (index != nullptr) {
+        index->SphereQuery(cache, query.center, query.radius, ids, scratch);
+      }
+      if (overlay != nullptr) {
+        FilterOverlayMasked(*overlay, ids);
+        probes = AppendOverlaySphereMatches(*overlay, bucket, query.center,
+                                            query.radius, ids, scratch);
+      }
       break;
   }
+  result->count = ids->size();
+  result->io.RecordOverlayProbes(probes);
 }
 
 }  // namespace
 
-void DispatchQuery(const FlatIndex& index, const Query& query,
-                   PageCache* cache, QueryResult* result,
-                   CrawlScratch* scratch) {
+void DispatchQuery(const IndexedQuery& iq, PageCache* cache,
+                   QueryResult* result, CrawlScratch* scratch) {
+  const FlatIndex* index =
+      iq.index != nullptr && iq.index->file() != nullptr ? iq.index : nullptr;
+  const OverlayView* overlay =
+      iq.overlay != nullptr && !iq.overlay->empty() ? iq.overlay : nullptr;
+  if (index == nullptr && overlay == nullptr) return;  // no data at all
+  const Query& query = iq.query;
   // A controlled query needs a scratch to carry its control binding into
   // the traversal's cancellation points; materialize a throwaway if the
   // caller brought none. Uncontrolled queries skip all of this.
@@ -242,7 +294,8 @@ void DispatchQuery(const FlatIndex& index, const Query& query,
   }
   ScratchControlGuard guard(scratch, query.control, &result->io);
   try {
-    DispatchQueryImpl(index, query, cache, result, scratch);
+    RunQuery(index, overlay, iq.overlay_bucket, query, cache, result,
+             scratch);
   } catch (const QueryAbort& abort) {
     result->status = abort.status();
     SettleFailedResult(query, result);
@@ -256,131 +309,29 @@ void DispatchQuery(const FlatIndex& index, const Query& query,
   }
 }
 
-void DispatchQueryWithOverlay(const FlatIndex* index, const Query& query,
-                              PageCache* cache, const OverlayView* overlay,
-                              size_t overlay_bucket, QueryResult* result,
-                              CrawlScratch* scratch) {
-  if (overlay == nullptr || overlay->empty()) {
-    if (index != nullptr && index->file() != nullptr) {
-      DispatchQuery(*index, query, cache, result, scratch);
-    }
-    return;
-  }
-  std::optional<CrawlScratch> throwaway;
-  if (query.control != nullptr && scratch == nullptr) {
-    scratch = &throwaway.emplace();
-  }
-  ScratchControlGuard guard(scratch, query.control, &result->io);
-  try {
-    DispatchQueryWithOverlayImpl(index, query, cache, overlay, overlay_bucket,
-                                 result, scratch);
-  } catch (const QueryAbort& abort) {
-    result->status = abort.status();
-    SettleFailedResult(query, result);
-  } catch (const std::logic_error&) {
-    throw;  // kKnn-over-overlay and friends stay loud
-  } catch (const std::exception& e) {
-    result->status = QueryStatus::kIoError;
-    result->error = e.what();
-    result->io.RecordIoError();
-    SettleFailedResult(query, result);
-  }
-}
-
-namespace {
-
-void DispatchQueryWithOverlayImpl(const FlatIndex* index, const Query& query,
-                                  PageCache* cache, const OverlayView* overlay,
-                                  size_t overlay_bucket, QueryResult* result,
-                                  CrawlScratch* scratch) {
-  const bool has_index = index != nullptr && index->file() != nullptr;
-  uint64_t probes = 0;
-  switch (query.type) {
-    case Query::Type::kRange:
-      if (has_index) {
-        index->RangeQuery(cache, query.box, &result->ids, scratch, query.guard);
-        FilterOverlayMasked(*overlay, &result->ids);
-      }
-      probes = AppendOverlayRangeMatches(*overlay, overlay_bucket, query.box,
-                                         &result->ids, scratch);
-      result->count = result->ids.size();
-      break;
-    case Query::Type::kRangeCount:
-      // Delete masking needs the ids, so run the materializing range path
-      // (identical page reads by the FlatIndex contract), count the
-      // survivors plus overlay matches, and drop the vector.
-      if (has_index) {
-        index->RangeQuery(cache, query.box, &result->ids, scratch, query.guard);
-        FilterOverlayMasked(*overlay, &result->ids);
-      }
-      result->count = result->ids.size();
-      probes = CountOverlayRangeMatches(*overlay, overlay_bucket, query.box,
-                                        &result->count, scratch);
-      result->ids.clear();
-      break;
-    case Query::Type::kSeedScan:
-      if (has_index) {
-        index->RangeQueryViaSeedScan(cache, query.box, &result->ids);
-        FilterOverlayMasked(*overlay, &result->ids);
-      }
-      probes = AppendOverlayRangeMatches(*overlay, overlay_bucket, query.box,
-                                         &result->ids, scratch);
-      result->count = result->ids.size();
-      break;
-    case Query::Type::kSphere:
-      if (has_index) {
-        index->SphereQuery(cache, query.center, query.radius, &result->ids,
-                           scratch);
-        FilterOverlayMasked(*overlay, &result->ids);
-      }
-      probes = AppendOverlaySphereMatches(*overlay, overlay_bucket,
-                                          query.center, query.radius,
-                                          &result->ids, scratch);
-      result->count = result->ids.size();
-      break;
-    case Query::Type::kKnn:
-      throw std::logic_error(
-          "DispatchQueryWithOverlay: kKnn is not supported over a delta "
-          "overlay");
-  }
-  result->io.RecordOverlayProbes(probes);
-}
-
-}  // namespace
-
 void QueryEngine::ExecuteQuery(const Job& job, const IndexedQuery& iq,
                                QueryResult* result, WorkerState* state) {
-  const bool has_index = iq.index != nullptr && iq.index->file() != nullptr;
-  if (!has_index) {
-    // No PageStore to read from. Without an overlay the query legitimately
-    // returns empty; with one it is a pure overlay bucket scan (the spill
-    // tail of an overlayed store) — no cache needed.
-    if (iq.overlay != nullptr) {
-      DispatchQueryWithOverlay(nullptr, iq.query, nullptr, iq.overlay,
-                               iq.overlay_bucket, result, &state->scratch);
-    }
-  } else if (job.shared_caches != nullptr) {
-    auto it = job.shared_caches->find(iq.index->file());
+  const int prefetch_depth = iq.query.prefetch_depth >= 0
+                                 ? iq.query.prefetch_depth
+                                 : options_.prefetch_depth;
+  // No PageStore to read from leaves `cache` null: the query is then a pure
+  // overlay bucket scan (the spill tail of an overlayed store), or empty.
+  const PageStore* file = iq.index != nullptr ? iq.index->file() : nullptr;
+  PageCache* cache = nullptr;
+  std::optional<StripedBufferPool::Session> session;
+  if (file != nullptr && job.shared_caches != nullptr) {
+    auto it = job.shared_caches->find(file);
     assert(it != job.shared_caches->end());
-    const int prefetch_depth = iq.query.prefetch_depth >= 0
-                                   ? iq.query.prefetch_depth
-                                   : options_.prefetch_depth;
-    StripedBufferPool::Session session(it->second.get(), &result->io,
-                                       prefetch_depth);
-    DispatchQueryWithOverlay(iq.index, iq.query, &session, iq.overlay,
-                             iq.overlay_bucket, result, &state->scratch);
-  } else {
+    cache = &session.emplace(it->second.get(), &result->io, prefetch_depth);
+  } else if (file != nullptr) {
     // Cold-per-query mode: recycle the worker's pool — Clear() is an O(1)
     // epoch bump, so this is exactly as cold as a fresh pool (identical
     // IoStats) without rebuilding the page table per query. Clear() runs
     // before set_stats(), so hints left pending are charged as wasted to the
     // query that issued them.
-    const int prefetch_depth = iq.query.prefetch_depth >= 0
-                                   ? iq.query.prefetch_depth
-                                   : options_.prefetch_depth;
     BufferPool* pool = state->pool.get();
-    if (pool == nullptr || &pool->store() != iq.index->file()) {
-      state->pool = std::make_unique<BufferPool>(iq.index->file(), &result->io,
+    if (pool == nullptr || &pool->store() != file) {
+      state->pool = std::make_unique<BufferPool>(file, &result->io,
                                                  options_.pool_pages);
       pool = state->pool.get();
     } else {
@@ -388,9 +339,9 @@ void QueryEngine::ExecuteQuery(const Job& job, const IndexedQuery& iq,
       pool->set_stats(&result->io);
     }
     pool->set_prefetch_depth(prefetch_depth);
-    DispatchQueryWithOverlay(iq.index, iq.query, pool, iq.overlay,
-                             iq.overlay_bucket, result, &state->scratch);
+    cache = pool;
   }
+  DispatchQuery(iq, cache, result, &state->scratch);
   // A failing sub-query poisons its group (if any) so scattered siblings of
   // the same logical query observe the cancellation at their next
   // cancellation point instead of running to completion for a result that

@@ -113,7 +113,8 @@ struct QueryResult {
   uint64_t count = 0;
   IoStats io;
   QueryStatus status = QueryStatus::kOk;
-  /// Human-readable detail for kIoError (the underlying exception's what()).
+  /// Human-readable detail for kIoError (the underlying exception's what())
+  /// and kUnsupported.
   std::string error;
 
   bool ok() const { return status == QueryStatus::kOk; }
@@ -132,36 +133,33 @@ struct IndexedQuery {
   Query query;
   /// Snapshot overlay to merge with the index's result: base ids touched by
   /// the overlay are masked out and live entries of `overlay_bucket` that
-  /// match the query are appended (see DispatchQueryWithOverlay). Null for
+  /// match the query are appended (see DispatchQuery). Null for
   /// plain bulkload-only queries. The view must outlive the batch.
   const OverlayView* overlay = nullptr;
   size_t overlay_bucket = 0;
 };
 
-/// Runs one query against `index` through `cache` via the serial FlatIndex
-/// code path, appending ids into `result->ids` and setting `result->count`.
-/// The single dispatch point shared by the engine's workers and the serial
-/// reference harness. `scratch` is the caller's reusable crawl scratch (one
-/// per thread); nullptr falls back to a throwaway — results are identical
-/// either way. Thread-safe for distinct (cache, result, scratch) triples:
-/// FlatIndex queries are const and share no mutable state.
-void DispatchQuery(const FlatIndex& index, const Query& query,
-                   PageCache* cache, QueryResult* result,
-                   CrawlScratch* scratch = nullptr);
-
-/// Overlay-aware dispatch: runs `query` against `index` (if any), masks base
-/// ids the overlay touches, then appends/counts matching live entries of
-/// `overlay` bucket `overlay_bucket`, charging the gate tests to
-/// `result->io` as overlay probes. With a null/empty overlay this is exactly
-/// DispatchQuery; with a null/unbuilt index it degenerates to a pure overlay
-/// bucket scan (no page reads). kRangeCount runs the materializing range
-/// path internally — identical page reads by the FlatIndex contract — so
-/// delete masking can see the ids, then reports only the count. kKnn is not
-/// supported over an overlay and throws std::logic_error.
-void DispatchQueryWithOverlay(const FlatIndex* index, const Query& query,
-                              PageCache* cache, const OverlayView* overlay,
-                              size_t overlay_bucket, QueryResult* result,
-                              CrawlScratch* scratch = nullptr);
+/// Runs `iq.query` against `iq.index` through `cache` via the serial
+/// FlatIndex code path, appending ids into `result->ids` and setting
+/// `result->count`. The single dispatch point shared by the engine's
+/// workers, the store's serial executor and the serial reference harness.
+///
+/// With a non-empty `iq.overlay`, base ids the overlay touches are masked
+/// out and the live entries of bucket `iq.overlay_bucket` that match the
+/// query are appended (or counted), charging the gate tests to
+/// `result->io` as overlay probes. kRangeCount then runs the materializing
+/// range path — identical page reads by the FlatIndex contract — so delete
+/// masking can see the ids, and reports only the count. A null or unbuilt
+/// index contributes nothing (`cache` may then be null): the query is a
+/// pure overlay bucket scan, or empty without an overlay. kKnn over a
+/// non-empty overlay is not supported: it ends kUnsupported with no reads.
+///
+/// `scratch` is the caller's reusable crawl scratch (one per thread);
+/// nullptr falls back to a throwaway — results are identical either way.
+/// Thread-safe for distinct (cache, result, scratch) triples: FlatIndex
+/// queries are const and share no mutable state.
+void DispatchQuery(const IndexedQuery& iq, PageCache* cache,
+                   QueryResult* result, CrawlScratch* scratch = nullptr);
 
 /// Aggregate outcome of one batch execution.
 struct BatchStats {
@@ -181,6 +179,10 @@ struct BatchStats {
   uint64_t queries_failed = 0;
   uint64_t queries_shed = 0;
 };
+
+/// Sums per-query results into a BatchStats (io, result_elements and the
+/// status tally); the caller fills in `threads` and `wall_seconds`.
+BatchStats TallyBatch(const std::vector<QueryResult>& results);
 
 /// Parallel batch query engine.
 ///

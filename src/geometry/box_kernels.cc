@@ -310,85 +310,6 @@ void IntersectsSoa(const SoaBoxes& soa, const Aabb& query, uint8_t* hits) {
 #endif
 }
 
-void ContainsSoaScalar(const SoaBoxes& soa, const Aabb& query,
-                       uint8_t* covered) {
-  const double* lox = soa.lo(0);
-  const double* loy = soa.lo(1);
-  const double* loz = soa.lo(2);
-  const double* hix = soa.hi(0);
-  const double* hiy = soa.hi(1);
-  const double* hiz = soa.hi(2);
-  for (size_t i = 0; i < soa.padded_count(); ++i) {
-    const int cov =
-        (lox[i] <= hix[i]) & (loy[i] <= hiy[i]) & (loz[i] <= hiz[i]) &
-        (lox[i] >= query.lo().x) & (hix[i] <= query.hi().x) &
-        (loy[i] >= query.lo().y) & (hiy[i] <= query.hi().y) &
-        (loz[i] >= query.lo().z) & (hiz[i] <= query.hi().z);
-    covered[i] = static_cast<uint8_t>(cov);
-  }
-}
-
-void ContainsSoa(const SoaBoxes& soa, const Aabb& query, uint8_t* covered) {
-#if defined(__AVX2__)
-  const __m256d qhx = _mm256_set1_pd(query.hi().x);
-  const __m256d qhy = _mm256_set1_pd(query.hi().y);
-  const __m256d qhz = _mm256_set1_pd(query.hi().z);
-  const __m256d qlx = _mm256_set1_pd(query.lo().x);
-  const __m256d qly = _mm256_set1_pd(query.lo().y);
-  const __m256d qlz = _mm256_set1_pd(query.lo().z);
-  for (size_t i = 0; i < soa.padded_count(); i += 4) {
-    const __m256d lox = _mm256_loadu_pd(soa.lo(0) + i);
-    const __m256d loy = _mm256_loadu_pd(soa.lo(1) + i);
-    const __m256d loz = _mm256_loadu_pd(soa.lo(2) + i);
-    const __m256d hix = _mm256_loadu_pd(soa.hi(0) + i);
-    const __m256d hiy = _mm256_loadu_pd(soa.hi(1) + i);
-    const __m256d hiz = _mm256_loadu_pd(soa.hi(2) + i);
-    __m256d m = _mm256_and_pd(_mm256_cmp_pd(lox, hix, _CMP_LE_OQ),
-                              _mm256_cmp_pd(loy, hiy, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loz, hiz, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(lox, qlx, _CMP_GE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(hix, qhx, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loy, qly, _CMP_GE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(hiy, qhy, _CMP_LE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(loz, qlz, _CMP_GE_OQ));
-    m = _mm256_and_pd(m, _mm256_cmp_pd(hiz, qhz, _CMP_LE_OQ));
-    const int mask = _mm256_movemask_pd(m);
-    covered[i + 0] = static_cast<uint8_t>(mask & 1);
-    covered[i + 1] = static_cast<uint8_t>((mask >> 1) & 1);
-    covered[i + 2] = static_cast<uint8_t>((mask >> 2) & 1);
-    covered[i + 3] = static_cast<uint8_t>((mask >> 3) & 1);
-  }
-#elif defined(__SSE2__) || defined(_M_X64)
-  const __m128d qhx = _mm_set1_pd(query.hi().x);
-  const __m128d qhy = _mm_set1_pd(query.hi().y);
-  const __m128d qhz = _mm_set1_pd(query.hi().z);
-  const __m128d qlx = _mm_set1_pd(query.lo().x);
-  const __m128d qly = _mm_set1_pd(query.lo().y);
-  const __m128d qlz = _mm_set1_pd(query.lo().z);
-  for (size_t i = 0; i < soa.padded_count(); i += 2) {
-    const __m128d lox = _mm_loadu_pd(soa.lo(0) + i);
-    const __m128d loy = _mm_loadu_pd(soa.lo(1) + i);
-    const __m128d loz = _mm_loadu_pd(soa.lo(2) + i);
-    const __m128d hix = _mm_loadu_pd(soa.hi(0) + i);
-    const __m128d hiy = _mm_loadu_pd(soa.hi(1) + i);
-    const __m128d hiz = _mm_loadu_pd(soa.hi(2) + i);
-    __m128d m = _mm_and_pd(_mm_cmple_pd(lox, hix), _mm_cmple_pd(loy, hiy));
-    m = _mm_and_pd(m, _mm_cmple_pd(loz, hiz));
-    m = _mm_and_pd(m, _mm_cmpge_pd(lox, qlx));
-    m = _mm_and_pd(m, _mm_cmple_pd(hix, qhx));
-    m = _mm_and_pd(m, _mm_cmpge_pd(loy, qly));
-    m = _mm_and_pd(m, _mm_cmple_pd(hiy, qhy));
-    m = _mm_and_pd(m, _mm_cmpge_pd(loz, qlz));
-    m = _mm_and_pd(m, _mm_cmple_pd(hiz, qhz));
-    const int mask = _mm_movemask_pd(m);
-    covered[i + 0] = static_cast<uint8_t>(mask & 1);
-    covered[i + 1] = static_cast<uint8_t>((mask >> 1) & 1);
-  }
-#else
-  ContainsSoaScalar(soa, query, covered);
-#endif
-}
-
 void SphereGateSoaScalar(const SoaBoxes& soa, const Vec3& center,
                          double radius, uint8_t* hits) {
   const double* lox = soa.lo(0);

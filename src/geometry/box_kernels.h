@@ -93,12 +93,6 @@ void ContainsBatchScalar(const char* boxes, size_t stride, size_t count,
 void ContainsBatch(const char* boxes, size_t stride, size_t count,
                    const Aabb& query, uint8_t* covered);
 
-/// SoA form over the same lanes as IntersectsSoa. Writes
-/// soa.padded_count() bytes; padding lanes (canonical empty boxes) are 0.
-void ContainsSoa(const SoaBoxes& soa, const Aabb& query, uint8_t* covered);
-void ContainsSoaScalar(const SoaBoxes& soa, const Aabb& query,
-                       uint8_t* covered);
-
 /// Gates every box of `soa` against the closed ball around `center`:
 /// hits[i] = 1 iff box i is non-empty and its min distance to `center` is
 /// <= radius — exactly Aabb::IntersectsSphere (same operation order:

@@ -58,9 +58,7 @@ Aabb QueryGate(const Query& query) {
       return Aabb::FromCenterHalfExtents(
           query.center, Vec3(query.radius, query.radius, query.radius));
     case Query::Type::kKnn:
-      throw std::invalid_argument(
-          "ShardedFlatStore: kKnn is not supported — the gather has no "
-          "distances to merge per-shard candidates globally");
+      break;  // never routed: ScatterGather answers it kUnsupported
   }
   return Aabb();
 }
@@ -195,9 +193,9 @@ std::vector<Aabb> ShardBounds(const ShardCatalog& catalog) {
 /// pinned — an index-free tail sub-query scanning the spill bucket.
 /// Returns the number of sub-queries appended.
 ///
-/// `precount` (non-null for kRangeCount) receives the catalog-level
-/// shortcut: a shard whose element bounds are fully inside the query box
-/// contributes its exact catalog element count here instead of a sub-query
+/// For kRangeCount, `precount` receives the catalog-level shortcut: a
+/// shard whose element bounds are fully inside the query box adds its
+/// exact catalog element count here instead of a sub-query
 /// — zero reads for that shard. Only taken when the shard's index carries
 /// aggregates (which certifies every element box non-empty and finite, so
 /// "bounds covered" really means "every element matches") and the overlay
@@ -206,11 +204,9 @@ std::vector<Aabb> ShardBounds(const ShardCatalog& catalog) {
 size_t AppendScatter(const ShardCatalog& catalog,
                      const std::vector<FlatIndex>& indexes,
                      const OverlayView* overlay, const Query& query,
-                     std::vector<IndexedQuery>* scatter,
-                     uint64_t* precount = nullptr) {
+                     std::vector<IndexedQuery>* scatter, uint64_t* precount) {
   const Aabb gate = QueryGate(query);
-  const bool can_precount = precount != nullptr &&
-                            query.type == Query::Type::kRangeCount &&
+  const bool can_precount = query.type == Query::Type::kRangeCount &&
                             (overlay == nullptr || overlay->empty());
   size_t count = 0;
   for (size_t s = 0; s < catalog.shards.size(); ++s) {
@@ -492,25 +488,82 @@ ShardedFlatStore::CompactionStats ShardedFlatStore::Compact() {
   return cstats;
 }
 
-QueryResult ShardedFlatStore::RunSingle(const Query& query) const {
-  Snapshot snapshot = PinSnapshot();
-  // A default-constructed store has no engine; the snapshot's serial
-  // executor answers instead (empty for an empty store, overlay-only scans
-  // for a store that has only seen inserts).
-  if (engine_ == nullptr) return snapshot.Execute(query);
+std::vector<QueryResult> ShardedFlatStore::ScatterGather(
+    const Snapshot& snapshot, std::span<const Query> batch,
+    QueryEngine* engine) {
+  // Scatter: one flat multi-index sub-batch covering every (query, shard)
+  // pair — plus each query's overlay tail — so the engine's work-stealing
+  // pool balances across queries and shards alike.
+  struct Span {
+    size_t first = 0;
+    size_t count = 0;
+  };
+  std::vector<QueryResult> results(batch.size());
   std::vector<IndexedQuery> scatter;
+  std::vector<Span> spans(batch.size());
   std::vector<std::unique_ptr<ControlBlock>> blocks;
-  Query wired = query;
-  const QueryGroup* group = WireControlGroup(&wired, &blocks);
-  uint64_t precount = 0;
-  AppendScatter(snapshot.base_->catalog, snapshot.base_->indexes,
-                snapshot.overlay_.get(), wired, &scatter, &precount);
-  std::vector<QueryResult> sub_results = engine_->RunMulti(scatter);
-  QueryResult result;
-  GatherSubResults(&sub_results, 0, sub_results.size(), query.type, group,
-                   &result);
-  result.count += precount;  // fully covered shards, answered off-catalog
-  return result;
+  std::vector<const QueryGroup*> groups(batch.size(), nullptr);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    spans[i].first = scatter.size();
+    if (batch[i].type == Query::Type::kKnn) {
+      results[i].status = QueryStatus::kUnsupported;
+      results[i].error =
+          "ShardedFlatStore: kKnn is not supported — the gather has no "
+          "distances to merge per-shard candidates globally";
+      continue;
+    }
+    if (snapshot.base_ == nullptr) continue;  // default-constructed Snapshot
+    Query wired = batch[i];
+    groups[i] = WireControlGroup(&wired, &blocks);
+    // Shards a count fully covers are tallied straight off the catalog,
+    // into the count the gather then adds the sub-queries' counts to.
+    spans[i].count = AppendScatter(
+        snapshot.base_->catalog, snapshot.base_->indexes,
+        snapshot.overlay_.get(), wired, &scatter, &results[i].count);
+  }
+
+  std::vector<QueryResult> sub_results;
+  if (engine != nullptr) {
+    sub_results = engine->RunMulti(scatter);
+  } else {
+    sub_results.resize(scatter.size());
+    CrawlScratch scratch;
+    for (const Span& span : spans) {
+      QueryStatus failed = QueryStatus::kOk;
+      for (size_t j = span.first; j < span.first + span.count; ++j) {
+        if (failed != QueryStatus::kOk) {
+          // Serial analogue of the engine's group cancellation: once one
+          // sub-query stops early, its siblings are not worth running —
+          // the merged result is already partial.
+          sub_results[j].status = QueryStatus::kCancelled;
+          continue;
+        }
+        // Cold cache per sub-query, exactly like the engine's default mode
+        // — so both executors report identical IoStats.
+        const IndexedQuery& iq = scatter[j];
+        std::optional<BufferPool> pool;
+        if (iq.index != nullptr && iq.index->file() != nullptr) {
+          pool.emplace(iq.index->file(), &sub_results[j].io,
+                       /*capacity=*/0);
+        }
+        DispatchQuery(iq, pool.has_value() ? &*pool : nullptr,
+                      &sub_results[j], &scratch);
+        failed = sub_results[j].status;
+      }
+    }
+  }
+
+  // Gather: per original query, merge its shards' sub-results.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    GatherSubResults(&sub_results, spans[i].first, spans[i].count,
+                     batch[i].type, groups[i], &results[i]);
+  }
+  return results;
+}
+
+QueryResult ShardedFlatStore::RunSingle(const Query& query) const {
+  return std::move(
+      ScatterGather(PinSnapshot(), {&query, 1}, engine_.get()).front());
 }
 
 std::vector<uint64_t> ShardedFlatStore::RangeQuery(const Aabb& query,
@@ -526,13 +579,6 @@ uint64_t ShardedFlatStore::RangeCount(const Aabb& query, IoStats* io) const {
   return result.count;
 }
 
-std::vector<uint64_t> ShardedFlatStore::RangeQueryViaSeedScan(
-    const Aabb& query, IoStats* io) const {
-  QueryResult result = RunSingle(Query::RangeSeedScan(query));
-  if (io != nullptr) *io += result.io;
-  return std::move(result.ids);
-}
-
 std::vector<uint64_t> ShardedFlatStore::SphereQuery(const Vec3& center,
                                                     double radius,
                                                     IoStats* io) const {
@@ -544,104 +590,20 @@ std::vector<uint64_t> ShardedFlatStore::SphereQuery(const Vec3& center,
 std::vector<QueryResult> ShardedFlatStore::RunBatch(
     const std::vector<Query>& batch, BatchStats* stats) const {
   const auto start = Clock::now();
-
   // One snapshot for the whole batch: every query sees the same epoch no
   // matter how writers interleave with the batch's execution.
-  Snapshot snapshot = PinSnapshot();
-
-  std::vector<QueryResult> results(batch.size());
-  if (engine_ == nullptr) {
-    // Default-constructed store: serial snapshot execution per query.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      results[i] = snapshot.Execute(batch[i]);
-    }
-  } else {
-    // Scatter: one flat multi-index sub-batch covering every (query, shard)
-    // pair — plus each query's overlay tail — so the engine's work-stealing
-    // pool balances across queries and shards alike.
-    std::vector<IndexedQuery> scatter;
-    struct Span {
-      size_t first = 0;
-      size_t count = 0;
-    };
-    std::vector<Span> spans(batch.size());
-    std::vector<std::unique_ptr<ControlBlock>> blocks;
-    std::vector<const QueryGroup*> groups(batch.size(), nullptr);
-    std::vector<uint64_t> precounts(batch.size(), 0);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      spans[i].first = scatter.size();
-      Query wired = batch[i];
-      groups[i] = WireControlGroup(&wired, &blocks);
-      spans[i].count = AppendScatter(
-          snapshot.base_->catalog, snapshot.base_->indexes,
-          snapshot.overlay_.get(), wired, &scatter, &precounts[i]);
-    }
-
-    std::vector<QueryResult> sub_results = engine_->RunMulti(scatter);
-
-    // Gather: per original query, merge its shards' sub-results (plus any
-    // covered shards answered straight off the catalog).
-    for (size_t i = 0; i < batch.size(); ++i) {
-      GatherSubResults(&sub_results, spans[i].first, spans[i].count,
-                       batch[i].type, groups[i], &results[i]);
-      results[i].count += precounts[i];
-    }
-  }
-
+  std::vector<QueryResult> results =
+      ScatterGather(PinSnapshot(), batch, engine_.get());
   if (stats != nullptr) {
-    *stats = BatchStats{};
+    *stats = TallyBatch(results);
     stats->threads = engine_ != nullptr ? engine_->threads() : 1;
-    for (const QueryResult& r : results) {
-      stats->io += r.io;
-      stats->result_elements += r.count;
-      if (r.status == QueryStatus::kOk) {
-        ++stats->queries_ok;
-      } else if (r.status == QueryStatus::kRejected) {
-        ++stats->queries_shed;
-      } else {
-        ++stats->queries_failed;
-      }
-    }
     stats->wall_seconds = SecondsSince(start);
   }
   return results;
 }
 
 QueryResult ShardedFlatStore::Snapshot::Execute(const Query& query) const {
-  QueryResult result;
-  if (base_ == nullptr) return result;  // default-constructed Snapshot
-  std::vector<IndexedQuery> scatter;
-  uint64_t precount = 0;
-  AppendScatter(base_->catalog, base_->indexes, overlay_.get(), query,
-                &scatter, &precount);
-  std::vector<QueryResult> sub_results(scatter.size());
-  CrawlScratch scratch;
-  QueryStatus failed = QueryStatus::kOk;
-  for (size_t i = 0; i < scatter.size(); ++i) {
-    const IndexedQuery& iq = scatter[i];
-    if (failed != QueryStatus::kOk) {
-      // Serial analogue of the engine's group cancellation: once one
-      // sub-query stops early, its siblings are not worth running — the
-      // merged result is already partial.
-      sub_results[i].status = QueryStatus::kCancelled;
-      continue;
-    }
-    if (iq.index != nullptr && iq.index->file() != nullptr) {
-      // Cold cache per sub-query, exactly like the engine's default mode —
-      // the snapshot path's IoStats match the store-level entry points'.
-      BufferPool pool(iq.index->file(), &sub_results[i].io, /*capacity=*/0);
-      DispatchQueryWithOverlay(iq.index, iq.query, &pool, iq.overlay,
-                               iq.overlay_bucket, &sub_results[i], &scratch);
-    } else {
-      DispatchQueryWithOverlay(nullptr, iq.query, nullptr, iq.overlay,
-                               iq.overlay_bucket, &sub_results[i], &scratch);
-    }
-    failed = sub_results[i].status;
-  }
-  GatherSubResults(&sub_results, 0, sub_results.size(), query.type,
-                   /*group=*/nullptr, &result);
-  result.count += precount;  // fully covered shards, answered off-catalog
-  return result;
+  return std::move(ScatterGather(*this, {&query, 1}, nullptr).front());
 }
 
 std::vector<uint64_t> ShardedFlatStore::Snapshot::RangeQuery(
@@ -656,13 +618,6 @@ uint64_t ShardedFlatStore::Snapshot::RangeCount(const Aabb& query,
   QueryResult result = Execute(Query::RangeCount(query));
   if (io != nullptr) *io += result.io;
   return result.count;
-}
-
-std::vector<uint64_t> ShardedFlatStore::Snapshot::RangeQueryViaSeedScan(
-    const Aabb& query, IoStats* io) const {
-  QueryResult result = Execute(Query::RangeSeedScan(query));
-  if (io != nullptr) *io += result.io;
-  return std::move(result.ids);
 }
 
 std::vector<uint64_t> ShardedFlatStore::Snapshot::SphereQuery(

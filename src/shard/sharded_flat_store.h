@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,10 +146,12 @@ class ShardedFlatStore {
     std::vector<uint64_t> RangeQuery(const Aabb& query,
                                      IoStats* io = nullptr) const;
     uint64_t RangeCount(const Aabb& query, IoStats* io = nullptr) const;
-    std::vector<uint64_t> RangeQueryViaSeedScan(const Aabb& query,
-                                                IoStats* io = nullptr) const;
     std::vector<uint64_t> SphereQuery(const Vec3& center, double radius,
                                       IoStats* io = nullptr) const;
+    /// Any store-supported query type (the calls above are shorthands):
+    /// the store's scatter-gather as a serial batch of one. kKnn comes back
+    /// kUnsupported, as in RunBatch.
+    QueryResult Execute(const Query& query) const;
 
     /// The log position this snapshot pins (number of ops it observes).
     uint64_t epoch() const { return epoch_; }
@@ -160,8 +163,6 @@ class ShardedFlatStore {
 
    private:
     friend class ShardedFlatStore;
-
-    QueryResult Execute(const Query& query) const;
 
     std::shared_ptr<const Base> base_;
     std::shared_ptr<const OverlayView> overlay_;
@@ -237,11 +238,6 @@ class ShardedFlatStore {
   /// Reads the same pages as RangeQuery (identical IoStats).
   uint64_t RangeCount(const Aabb& query, IoStats* io = nullptr) const;
 
-  /// RangeQuery answered through each shard's seed tree alone (the seed-scan
-  /// ablation plan) — same sorted id set, different page reads.
-  std::vector<uint64_t> RangeQueryViaSeedScan(const Aabb& query,
-                                              IoStats* io = nullptr) const;
-
   /// Ids of all elements intersecting the closed ball, sorted ascending.
   std::vector<uint64_t> SphereQuery(const Vec3& center, double radius,
                                     IoStats* io = nullptr) const;
@@ -252,9 +248,10 @@ class ShardedFlatStore {
   /// buckets, all sub-queries run as ONE multi-index engine batch (so the
   /// work-stealing pool balances across queries and shards alike), and
   /// per-query results are gathered in canonical sorted order.
-  /// Supported types: kRange, kRangeCount, kSeedScan, kSphere. kKnn throws
-  /// std::invalid_argument — a global k-merge needs distance-annotated
-  /// results, which the gather does not have yet.
+  /// Supported types: kRange, kRangeCount, kSeedScan, kSphere. A kKnn query
+  /// comes back kUnsupported with no reads and an `error` text — a global
+  /// k-merge needs distance-annotated results, which the gather does not
+  /// have yet — and leaves the rest of the batch unaffected.
   ///
   /// Fail-soft: a query carrying a QueryControl threads it into every
   /// scattered sub-query under a shared QueryGroup, so one failing shard
@@ -320,7 +317,17 @@ class ShardedFlatStore {
   const PageStore& shard_file(size_t shard) const;
 
  private:
-  /// Shared scatter-gather core for the single-query entry points.
+  /// The one scatter-gather: routes every query of `batch` against the
+  /// pinned `snapshot` (sub-queries for the routed shards in index order,
+  /// then the overlay spill bucket), runs the sub-queries — on `engine`
+  /// when non-null, else serially with a cold BufferPool each, a failing
+  /// sub-query cancelling its later siblings — and gathers one canonically
+  /// ordered result per query.
+  static std::vector<QueryResult> ScatterGather(const Snapshot& snapshot,
+                                                std::span<const Query> batch,
+                                                QueryEngine* engine);
+
+  /// A batch of one through the store's engine, at the current epoch.
   QueryResult RunSingle(const Query& query) const;
 
   static std::shared_ptr<const Base> BuildBase(std::vector<RTreeEntry> elements,

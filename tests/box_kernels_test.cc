@@ -500,31 +500,6 @@ TEST(ContainsKernelsTest, DispatchMatchesScalarBitForBit) {
   }
 }
 
-TEST(ContainsKernelsTest, SoaMatchesScalarIncludingPadding) {
-  Rng rng(41);
-  for (int round = 0; round < 40; ++round) {
-    const size_t count = static_cast<size_t>(rng.UniformInt(0, 90));
-    const auto boxes = AdversarialBoxes(rng, count, /*with_nan=*/true);
-    const auto buf = Serialize(boxes, sizeof(RTreeEntry));
-    SoaBoxes soa;
-    soa.Assign(buf.data(), sizeof(RTreeEntry), count);
-    std::vector<uint8_t> scalar(soa.padded_count(), 0xcd);
-    std::vector<uint8_t> dispatched(soa.padded_count(), 0x5e);
-    for (const Aabb& q : AdversarialQueries(rng, 6)) {
-      ContainsSoaScalar(soa, q, scalar.data());
-      ContainsSoa(soa, q, dispatched.data());
-      ASSERT_EQ(std::memcmp(scalar.data(), dispatched.data(),
-                            soa.padded_count()),
-                0)
-          << "count " << count;
-      // Padding lanes never certify (they hold empty boxes).
-      for (size_t i = count; i < soa.padded_count(); ++i) {
-        ASSERT_EQ(dispatched[i], 0);
-      }
-    }
-  }
-}
-
 // Builds a real compressed node page over children drawn inside `node_box`,
 // exactly as the bulkloader writes them.
 struct CompressedPage {

@@ -140,66 +140,174 @@ TEST(DeltaOverlayIdentityTest, ScheduleResultsIdenticalAcrossConfigs) {
   }
 }
 
-// Store-level entry points and a pinned Snapshot at the same epoch must
-// return identical ids AND identical IoStats (page reads per category plus
-// overlay probes) — the engine path and the serial snapshot path share the
-// overlay merge by construction, and this pins it.
+// One query through the store's single-query call for its type, as a
+// QueryResult. Seed-scan has no single-query shorthand: a batch of one.
+QueryResult ViaStoreCall(const ShardedFlatStore& store, const Query& q) {
+  QueryResult r;
+  switch (q.type) {
+    case Query::Type::kRange:
+      r.ids = store.RangeQuery(q.box, &r.io);
+      break;
+    case Query::Type::kRangeCount:
+      r.count = store.RangeCount(q.box, &r.io);
+      return r;
+    case Query::Type::kSphere:
+      r.ids = store.SphereQuery(q.center, q.radius, &r.io);
+      break;
+    default:
+      return store.RunBatch({q}).front();
+  }
+  r.count = r.ids.size();
+  return r;
+}
+
+::testing::AssertionResult SameResult(const QueryResult& a,
+                                      const QueryResult& b) {
+  if (a.status != b.status) {
+    return ::testing::AssertionFailure()
+           << "status " << QueryStatusName(a.status) << " vs "
+           << QueryStatusName(b.status);
+  }
+  if (a.ids != b.ids) {
+    return ::testing::AssertionFailure()
+           << "ids differ: " << a.ids.size() << " vs " << b.ids.size();
+  }
+  if (a.count != b.count) {
+    return ::testing::AssertionFailure()
+           << "count " << a.count << " vs " << b.count;
+  }
+  for (int c = 0; c < kNumPageCategories; ++c) {
+    const auto category = static_cast<PageCategory>(c);
+    if (a.io.ReadsIn(category) != b.io.ReadsIn(category)) {
+      return ::testing::AssertionFailure()
+             << "reads in category " << c << ": " << a.io.ReadsIn(category)
+             << " vs " << b.io.ReadsIn(category);
+    }
+  }
+  if (a.io.OverlayProbes() != b.io.OverlayProbes()) {
+    return ::testing::AssertionFailure()
+           << "overlay probes " << a.io.OverlayProbes() << " vs "
+           << b.io.OverlayProbes();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every store-supported query type, in every store state (no overlay, live
+// overlay, after Compact), answers identically through all three entry
+// points — the single store call, RunBatch and a pinned Snapshot: same
+// status, ids, count, page reads per category and overlay probes. The
+// engine executor and the serial snapshot executor share one scatter-gather
+// and one dispatch by construction; this pins it. Aggregates are on, so
+// counts also take the covered-shard shortcut where the state allows it.
 TEST(DeltaOverlayIdentityTest, EngineAndSnapshotPathsAgree) {
   Dataset dataset = MakeDataset("neuron");
   ShardedFlatStore::Options options;
   options.num_shards = 5;
   options.num_threads = 4;
+  options.aggregate_counts = true;
   ShardedFlatStore store = ShardedFlatStore::Build(dataset.elements, options);
-
-  // Mutate: some fresh ids, some upserts, some deletes.
-  Rng rng(123);
-  for (int i = 0; i < 400; ++i) {
-    const Vec3 center = rng.PointIn(dataset.bounds);
-    store.Insert(RTreeEntry{
-        Aabb::FromCenterHalfExtents(center, dataset.bounds.Extents() * 0.005),
-        static_cast<uint64_t>(rng.UniformInt(0, 2 * kIdSpace))});
-  }
-  for (int i = 0; i < 150; ++i) {
-    store.Erase(static_cast<uint64_t>(rng.UniformInt(0, 2 * kIdSpace)));
-  }
-
-  const ShardedFlatStore::Snapshot snapshot = store.PinSnapshot();
-  ASSERT_EQ(snapshot.epoch(), store.epoch());
-  EXPECT_GT(snapshot.overlay_live_count(), 0u);
 
   // Dataset-sized query boxes (the canned [0,100]^3 helpers don't fit
   // arbitrary generator bounds), plus a box covering everything.
-  std::vector<Aabb> queries;
-  for (int i = 0; i < 25; ++i) {
+  Rng rng(123);
+  std::vector<Aabb> boxes;
+  for (int i = 0; i < 12; ++i) {
     const double frac = rng.Uniform(0.02, 0.4);
-    queries.push_back(Aabb::FromCenterHalfExtents(
+    boxes.push_back(Aabb::FromCenterHalfExtents(
         rng.PointIn(dataset.bounds), dataset.bounds.Extents() * (frac / 2)));
   }
-  queries.push_back(Aabb(Vec3(-1e18, -1e18, -1e18), Vec3(1e18, 1e18, 1e18)));
-
-  for (const Aabb& query : queries) {
-    IoStats store_io, snapshot_io;
-    const std::vector<uint64_t> via_store = store.RangeQuery(query, &store_io);
-    const std::vector<uint64_t> via_snapshot =
-        snapshot.RangeQuery(query, &snapshot_io);
-    EXPECT_EQ(via_store, via_snapshot);
-    for (int c = 0; c < kNumPageCategories; ++c) {
-      EXPECT_EQ(store_io.ReadsIn(static_cast<PageCategory>(c)),
-                snapshot_io.ReadsIn(static_cast<PageCategory>(c)));
-    }
-    EXPECT_EQ(store_io.OverlayProbes(), snapshot_io.OverlayProbes());
-
-    IoStats count_io;
-    EXPECT_EQ(store.RangeCount(query, &count_io), via_store.size());
-    EXPECT_EQ(store.SphereQuery(query.Center(), query.Extents().Norm() / 2),
-              snapshot.SphereQuery(query.Center(), query.Extents().Norm() / 2));
+  boxes.push_back(Aabb(Vec3(-1e18, -1e18, -1e18), Vec3(1e18, 1e18, 1e18)));
+  std::vector<Query> batch;
+  for (const Aabb& box : boxes) {
+    batch.push_back(Query::Range(box));
+    batch.push_back(Query::RangeCount(box));
+    batch.push_back(Query::RangeSeedScan(box));
+    batch.push_back(Query::Sphere(box.Center(), box.Extents().Norm() / 4));
   }
 
-  // The all-covering query scans every overlay bucket, so its probe count is
-  // exactly the snapshot's live overlay population.
-  IoStats everything_io;
-  snapshot.RangeQuery(queries.back(), &everything_io);
-  EXPECT_EQ(everything_io.OverlayProbes(), snapshot.overlay_live_count());
+  enum class State { kNoOverlay, kLiveOverlay, kCompacted };
+  for (const State state :
+       {State::kNoOverlay, State::kLiveOverlay, State::kCompacted}) {
+    if (state == State::kLiveOverlay) {
+      // Mutate: some fresh ids, some upserts, some deletes.
+      for (int i = 0; i < 400; ++i) {
+        const Vec3 center = rng.PointIn(dataset.bounds);
+        store.Insert(RTreeEntry{Aabb::FromCenterHalfExtents(
+                                    center, dataset.bounds.Extents() * 0.005),
+                                static_cast<uint64_t>(
+                                    rng.UniformInt(0, 2 * kIdSpace))});
+      }
+      for (int i = 0; i < 150; ++i) {
+        store.Erase(static_cast<uint64_t>(rng.UniformInt(0, 2 * kIdSpace)));
+      }
+    } else if (state == State::kCompacted) {
+      store.Compact();
+    }
+    const ShardedFlatStore::Snapshot snapshot = store.PinSnapshot();
+    ASSERT_EQ(snapshot.epoch(), store.epoch());
+    EXPECT_EQ(snapshot.overlay_live_count() > 0,
+              state == State::kLiveOverlay);
+
+    const std::vector<QueryResult> batched = store.RunBatch(batch);
+    ASSERT_EQ(batched.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE("state " + std::to_string(static_cast<int>(state)) +
+                   " query " + std::to_string(i));
+      const QueryResult single = ViaStoreCall(store, batch[i]);
+      const QueryResult pinned = snapshot.Execute(batch[i]);
+      EXPECT_EQ(single.status, QueryStatus::kOk);
+      EXPECT_TRUE(SameResult(single, batched[i]));
+      EXPECT_TRUE(SameResult(single, pinned));
+      // Count and seed-scan agree with the range query on the same box.
+      if (batch[i].type == Query::Type::kRangeCount) {
+        EXPECT_EQ(batched[i].count, batched[i - 1].ids.size());
+      } else if (batch[i].type == Query::Type::kSeedScan) {
+        EXPECT_EQ(batched[i].ids, batched[i - 2].ids);
+      }
+    }
+
+    // The all-covering query scans every overlay bucket, so its probe count
+    // is exactly the snapshot's live overlay population.
+    IoStats everything_io;
+    snapshot.RangeQuery(boxes.back(), &everything_io);
+    EXPECT_EQ(everything_io.OverlayProbes(), snapshot.overlay_live_count());
+  }
+}
+
+// A kNN query in a batch on an overlaid store comes back kUnsupported with
+// no reads; the other queries of the batch are answered as if it were not
+// there.
+TEST(DeltaOverlayTest, MixedBatchWithKnnOnOverlaidStore) {
+  std::vector<RTreeEntry> entries = testing::RandomEntries(3000, 21);
+  ShardedFlatStore::Options options;
+  options.num_shards = 3;
+  options.num_threads = 2;
+  ShardedFlatStore store = ShardedFlatStore::Build(entries, options);
+  for (const RTreeEntry& e : testing::RandomEntries(100, 22)) store.Insert(e);
+  store.Erase(5);
+
+  const Aabb box(Vec3(10, 10, 10), Vec3(60, 60, 60));
+  const std::vector<Query> batch = {
+      Query::Range(box), Query::Knn(Vec3(50, 50, 50), 4),
+      Query::RangeCount(box), Query::Sphere(Vec3(40, 40, 40), 15)};
+  BatchStats stats;
+  const std::vector<QueryResult> results = store.RunBatch(batch, &stats);
+  ASSERT_EQ(results.size(), batch.size());
+
+  EXPECT_EQ(results[1].status, QueryStatus::kUnsupported);
+  EXPECT_FALSE(results[1].error.empty());
+  EXPECT_TRUE(results[1].ids.empty());
+  EXPECT_EQ(results[1].io.TotalReads(), 0u);
+  EXPECT_EQ(results[1].io.OverlayProbes(), 0u);
+  const ShardedFlatStore::Snapshot snapshot = store.PinSnapshot();
+  EXPECT_EQ(snapshot.Execute(batch[1]).status, QueryStatus::kUnsupported);
+
+  for (const size_t i : {size_t{0}, size_t{2}, size_t{3}}) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(SameResult(results[i], ViaStoreCall(store, batch[i])));
+  }
+  EXPECT_EQ(stats.queries_ok, 3u);
+  EXPECT_EQ(stats.queries_failed, 1u);
 }
 
 // A store that was never bulkloaded still answers queries — purely from the

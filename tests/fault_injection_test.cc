@@ -102,7 +102,7 @@ class FailSoftTest : public ::testing::Test {
   QueryResult RunReference(const Query& q) const {
     QueryResult r;
     BufferPool pool(&file_, &r.io);
-    DispatchQuery(index_, q, &pool, &r);
+    DispatchQuery(IndexedQuery{&index_, q}, &pool, &r);
     return r;
   }
 
@@ -125,7 +125,7 @@ TEST_F(FailSoftTest, EmptyScheduleWrapperIsTransparent) {
     const QueryResult expected = RunReference(Query::Range(box));
     QueryResult got;
     BufferPool pool(&wrapped, &got.io);
-    DispatchQuery(through, Query::Range(box), &pool, &got);
+    DispatchQuery(IndexedQuery{&through, Query::Range(box)}, &pool, &got);
     EXPECT_EQ(got.status, QueryStatus::kOk);
     EXPECT_EQ(got.ids, expected.ids);
     EXPECT_EQ(CategoryCounts(got.io), CategoryCounts(expected.io));
@@ -474,6 +474,39 @@ TEST(ShardedFailSoftTest, BatchMixesControlledAndUncontrolledQueries) {
   EXPECT_TRUE(results[1].ids.empty());
   EXPECT_EQ(stats.queries_ok, 1u);
   EXPECT_EQ(stats.queries_failed, 1u);
+}
+
+// A seed-scan's I/O budget holds whether or not the store carries a live
+// overlay: the index half of an overlay-merged seed-scan runs on the same
+// control-bound scratch as a plain one, so the full-universe scan stops
+// after a handful of reads instead of reading every page.
+TEST(ShardedFailSoftTest, SeedScanOverOverlayHonoursControl) {
+  auto entries = RandomEntries(20000, /*seed=*/71);
+  const Aabb universe(Vec3(-10, -10, -10), Vec3(110, 110, 110));
+  ShardedFlatStore::Options options;
+  options.num_shards = 2;
+  ShardedFlatStore store = ShardedFlatStore::Build(std::move(entries), options);
+
+  QueryControl budget;
+  budget.max_page_reads = 2;
+  Query query = Query::RangeSeedScan(universe);
+  query.control = &budget;
+
+  const uint64_t full_reads =
+      store.RunBatch({Query::RangeSeedScan(universe)}).front().io.TotalReads();
+  ASSERT_GT(full_reads, 100u) << "universe scan must be I/O heavy";
+
+  for (const bool overlaid : {false, true}) {
+    if (overlaid) {
+      store.Insert(RTreeEntry{Aabb(Vec3(1, 1, 1), Vec3(2, 2, 2)), 1u << 30});
+    }
+    const QueryResult capped = store.RunBatch({query}).front();
+    EXPECT_EQ(capped.status, QueryStatus::kBudgetExceeded)
+        << "overlaid=" << overlaid;
+    // Each sub-query overshoots its budget by at most a few pages.
+    EXPECT_LE(capped.io.TotalReads(), 2 * (2u + 4u)) << "overlaid=" << overlaid;
+    EXPECT_LT(capped.ids.size(), 20000u) << "overlaid=" << overlaid;
+  }
 }
 
 // A loaded sharded store wired with a fault schedule: unrecoverable shard

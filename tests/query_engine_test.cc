@@ -4,11 +4,14 @@
 // both CrawlGuard modes.
 #include "engine/query_engine.h"
 
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/flat_index.h"
+#include "delta/delta_log.h"
+#include "delta/overlay_view.h"
 #include "geometry/rng.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -41,7 +44,7 @@ class QueryEngineTest : public ::testing::Test {
   QueryResult RunSerial(const Query& q) const {
     QueryResult r;
     BufferPool pool(&file_, &r.io);
-    DispatchQuery(index_, q, &pool, &r);
+    DispatchQuery(IndexedQuery{&index_, q}, &pool, &r);
     return r;
   }
 
@@ -218,6 +221,46 @@ TEST_F(QueryEngineTest, EngineIsReusableAcrossBatches) {
       EXPECT_EQ(results[i].ids, RunSerial(batch[i]).ids);
     }
   }
+}
+
+// kNN has no overlay merge: over a non-empty overlay it comes back typed
+// kUnsupported with no reads, and the rest of the batch is unaffected.
+TEST_F(QueryEngineTest, KnnOverOverlayIsUnsupported) {
+  DeltaLog log;
+  DeltaOp op;
+  op.entry = RTreeEntry{Aabb(Vec3(1, 1, 1), Vec3(2, 2, 2)), 1u << 30};
+  log.Append(op);
+  const std::shared_ptr<const OverlayView> overlay =
+      OverlayView::Build(log, 0, log.size(), /*shard_bounds=*/{});
+  ASSERT_NE(overlay, nullptr);
+
+  const Aabb box(Vec3(0, 0, 0), Vec3(30, 30, 30));
+  const Vec3 center(50, 50, 50);
+  const size_t bucket = overlay->spill_bucket();
+  QueryEngine engine(QueryEngine::Options{.threads = 2});
+  BatchStats stats;
+  const std::vector<QueryResult> results = engine.RunMulti(
+      {IndexedQuery{&index_, Query::Knn(center, 5), overlay.get(), bucket},
+       IndexedQuery{&index_, Query::Range(box), overlay.get(), bucket},
+       IndexedQuery{&index_, Query::Knn(center, 5)}},
+      &stats);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].status, QueryStatus::kUnsupported);
+  EXPECT_FALSE(results[0].error.empty());
+  EXPECT_TRUE(results[0].ids.empty());
+  EXPECT_EQ(results[0].io.TotalReads(), 0u);
+
+  std::vector<uint64_t> want = BruteForce(entries_, box);
+  want.push_back(1u << 30);
+  EXPECT_EQ(results[1].status, QueryStatus::kOk);
+  EXPECT_EQ(Sorted(results[1].ids), Sorted(want));
+
+  const QueryResult plain = RunSerial(Query::Knn(center, 5));
+  EXPECT_EQ(results[2].status, QueryStatus::kOk);
+  EXPECT_EQ(results[2].ids, plain.ids);
+  EXPECT_EQ(CategoryCounts(results[2].io), CategoryCounts(plain.io));
+  EXPECT_EQ(stats.queries_ok, 2u);
+  EXPECT_EQ(stats.queries_failed, 1u);
 }
 
 TEST(QueryEngineEdgeTest, EmptyBatch) {

@@ -128,7 +128,8 @@ TEST_P(ShardedStoreIdentityTest, MatchesUnshardedIndex) {
         EXPECT_EQ(CategoryCounts(count_io), CategoryCounts(range_io));
 
         // Seed-scan plan: same canonical result set.
-        EXPECT_EQ(store.RangeQueryViaSeedScan(query), expected);
+        EXPECT_EQ(store.RunBatch({Query::RangeSeedScan(query)}).front().ids,
+                  expected);
 
         // Merged I/O equals the per-category sum of serial cold-cache
         // execution on each overlapping shard.
@@ -314,8 +315,13 @@ TEST(ShardedStoreTest, DefaultConstructedStoreAnswersEmpty) {
 TEST(ShardedStoreTest, KnnIsRejected) {
   ShardedFlatStore store =
       ShardedFlatStore::Build(RandomEntries(1000, 61), {.num_shards = 2});
-  EXPECT_THROW(store.RunBatch({Query::Knn(Vec3(1, 2, 3), 5)}),
-               std::invalid_argument);
+  const std::vector<QueryResult> results =
+      store.RunBatch({Query::Knn(Vec3(1, 2, 3), 5)});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, QueryStatus::kUnsupported);
+  EXPECT_FALSE(results[0].error.empty());
+  EXPECT_TRUE(results[0].ids.empty());
+  EXPECT_EQ(results[0].io.TotalReads(), 0u);
 }
 
 TEST(ShardCatalogTest, RoundTrip) {

@@ -130,7 +130,7 @@ struct ScheduleStep {
     kErase,     ///< delete `id` (may be absent — a no-op)
     kRange,     ///< RangeQuery(box) vs oracle
     kCount,     ///< RangeCount(box) vs oracle
-    kSeedScan,  ///< RangeQueryViaSeedScan(box) vs oracle
+    kSeedScan,  ///< RunBatch({Query::RangeSeedScan(box)}) vs oracle
     kSphere,    ///< SphereQuery(center, radius) vs oracle
     kCompact,   ///< fold the overlay into a fresh bulkload
   };
@@ -269,11 +269,9 @@ inline ::testing::AssertionResult ApplySchedule(
       }
       case ScheduleStep::Kind::kSeedScan: {
         const std::vector<uint64_t> got =
-            store.RangeQueryViaSeedScan(step.box);
+            store.RunBatch({Query::RangeSeedScan(step.box)}).front().ids;
         const std::vector<uint64_t> want = mirror.RangeQuery(step.box);
-        if (got != want) {
-          return fail(i, "RangeQueryViaSeedScan", describe(got, want));
-        }
+        if (got != want) return fail(i, "RangeSeedScan", describe(got, want));
         break;
       }
       case ScheduleStep::Kind::kSphere: {
