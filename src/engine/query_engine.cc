@@ -15,7 +15,7 @@ namespace {
 
 // Binds a query's control (and the IoStats its budget meters) to the
 // executing scratch for the duration of one dispatch, unbinding on every
-// exit path — the scratch is reused by the worker's next query, which may
+// exit path — the scratch is reused by the participant's next query, which may
 // carry no control at all.
 class ScratchControlGuard {
  public:
@@ -106,17 +106,19 @@ std::vector<QueryResult> QueryEngine::RunMulti(
   }
 
   if (admitted > 0) {
-    // Block-partition the admitted prefix: contiguous runs keep neighboring
-    // queries — which workloads tend to generate with spatial locality — on
-    // one worker; stealing rebalances the tail.
-    const size_t threads = pool_.threads();
-    const size_t per_worker = (admitted + threads - 1) / threads;
-    for (size_t w = 0; w < threads; ++w) {
-      std::lock_guard<std::mutex> lock(queues_[w]->mu);
-      queues_[w]->items.clear();
-      const size_t first = std::min(admitted, w * per_worker);
-      const size_t last = std::min(admitted, first + per_worker);
-      for (size_t i = first; i < last; ++i) queues_[w]->items.push_back(i);
+    // Block-partition the admitted prefix over no more participants than
+    // there are queries: the caller is participant 0, so a one-query batch
+    // runs entirely on the calling thread and wakes no worker. Contiguous
+    // runs keep neighboring queries — which workloads tend to generate with
+    // spatial locality — on one participant; stealing rebalances the tail.
+    const size_t participants = std::min(admitted, pool_.threads());
+    const size_t per_participant = (admitted + participants - 1) / participants;
+    for (size_t p = 0; p < participants; ++p) {
+      std::lock_guard<std::mutex> lock(queues_[p]->mu);
+      queues_[p]->items.clear();
+      const size_t first = std::min(admitted, p * per_participant);
+      const size_t last = std::min(admitted, first + per_participant);
+      for (size_t i = first; i < last; ++i) queues_[p]->items.push_back(i);
     }
 
     // In shared-cache mode, one striped pool per distinct PageFile in the
@@ -137,7 +139,8 @@ std::vector<QueryResult> QueryEngine::RunMulti(
     job.batch = &batch;
     job.results = &results;
     job.shared_caches = shared_caches.empty() ? nullptr : &shared_caches;
-    pool_.RunOnAllWorkers([this, &job](size_t w) { ProcessQueue(w, job); });
+    job.participants = participants;
+    pool_.Run(participants, [this, &job](size_t p) { ProcessQueue(p, job); });
   }
 
   if (stats != nullptr) {
@@ -150,17 +153,17 @@ std::vector<QueryResult> QueryEngine::RunMulti(
   return results;
 }
 
-void QueryEngine::ProcessQueue(size_t worker_index, const Job& job) {
+void QueryEngine::ProcessQueue(size_t participant, const Job& job) {
   size_t query_index;
-  while (PopOwn(worker_index, &query_index) ||
-         Steal(worker_index, &query_index)) {
+  while (PopOwn(participant, &query_index) ||
+         Steal(participant, job.participants, &query_index)) {
     ExecuteQuery(job, (*job.batch)[query_index],
-                 &(*job.results)[query_index], workers_[worker_index].get());
+                 &(*job.results)[query_index], workers_[participant].get());
   }
 }
 
-bool QueryEngine::PopOwn(size_t worker_index, size_t* query_index) {
-  WorkerQueue& queue = *queues_[worker_index];
+bool QueryEngine::PopOwn(size_t participant, size_t* query_index) {
+  WorkerQueue& queue = *queues_[participant];
   std::lock_guard<std::mutex> lock(queue.mu);
   if (queue.items.empty()) return false;
   *query_index = queue.items.front();
@@ -168,10 +171,10 @@ bool QueryEngine::PopOwn(size_t worker_index, size_t* query_index) {
   return true;
 }
 
-bool QueryEngine::Steal(size_t worker_index, size_t* query_index) {
-  const size_t n = queues_.size();
-  for (size_t offset = 1; offset < n; ++offset) {
-    WorkerQueue& victim = *queues_[(worker_index + offset) % n];
+bool QueryEngine::Steal(size_t participant, size_t participants,
+                        size_t* query_index) {
+  for (size_t offset = 1; offset < participants; ++offset) {
+    WorkerQueue& victim = *queues_[(participant + offset) % participants];
     std::lock_guard<std::mutex> lock(victim.mu);
     if (victim.items.empty()) continue;
     *query_index = victim.items.back();
@@ -324,7 +327,7 @@ void QueryEngine::ExecuteQuery(const Job& job, const IndexedQuery& iq,
     assert(it != job.shared_caches->end());
     cache = &session.emplace(it->second.get(), &result->io, prefetch_depth);
   } else if (file != nullptr) {
-    // Cold-per-query mode: recycle the worker's pool — Clear() is an O(1)
+    // Cold-per-query mode: recycle the participant's pool — Clear() is an O(1)
     // epoch bump, so this is exactly as cold as a fresh pool (identical
     // IoStats) without rebuilding the page table per query. Clear() runs
     // before set_stats(), so hints left pending are charged as wasted to the

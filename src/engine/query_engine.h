@@ -186,12 +186,16 @@ BatchStats TallyBatch(const std::vector<QueryResult>& results);
 
 /// Parallel batch query engine.
 ///
-/// A fixed ThreadPool (src/parallel/) executes a batch of queries. The batch
-/// is block-partitioned into per-worker deques; a worker that drains its own
-/// deque steals from the back of its siblings', so skewed batches (a few
-/// crawl-heavy queries among many cheap ones) still balance. Each worker owns
-/// one CrawlScratch reused across all its queries, keeping the crawl hot path
-/// allocation-free.
+/// A fixed ThreadPool (src/parallel/) executes a batch of queries. The
+/// calling thread is participant 0 of its own batch. The batch is
+/// block-partitioned into per-participant deques over
+/// min(batch size, threads()) participants, so only the workers the batch
+/// has queries for are woken, and a one-query batch runs entirely on the
+/// calling thread without touching the pool's lock. A participant that
+/// drains its own deque steals from the back of its siblings', so skewed
+/// batches (a few crawl-heavy queries among many cheap ones) still balance.
+/// Each participant owns one CrawlScratch reused across all its queries,
+/// keeping the crawl hot path allocation-free.
 ///
 /// The engine runs in one of two shapes:
 ///  - bound to a single FlatIndex (the original API): `Run(vector<Query>)`.
@@ -203,8 +207,8 @@ BatchStats TallyBatch(const std::vector<QueryResult>& results);
 ///    calls stay unambiguous.)
 ///
 /// Each query runs the unmodified serial FlatIndex code path, so per-query
-/// result vectors are bit-identical to serial execution no matter the thread
-/// count. I/O accounting is per query and merged into BatchStats:
+/// result vectors are bit-identical to serial execution no matter the
+/// participant count. I/O accounting is per query and merged into BatchStats:
 ///
 ///  - kColdPerQuery (default): every query gets a fresh BufferPool over its
 ///    index's PageFile — cold cache per query, exactly the paper's benchmark
@@ -222,7 +226,9 @@ class QueryEngine {
   enum class CacheMode { kColdPerQuery, kSharedStriped };
 
   struct Options {
-    /// Worker threads (0 means std::thread::hardware_concurrency()).
+    /// Participants per batch, the calling thread included: the engine
+    /// spawns threads - 1 workers (0 means
+    /// std::thread::hardware_concurrency()).
     size_t threads = 0;
     /// Per-query BufferPool capacity in kColdPerQuery mode (0 = unbounded).
     size_t pool_pages = 0;
@@ -286,23 +292,24 @@ class QueryEngine {
     const std::vector<IndexedQuery>* batch = nullptr;
     std::vector<QueryResult>* results = nullptr;
     const SharedCacheMap* shared_caches = nullptr;
+    size_t participants = 0;  // queues_[0, participants) hold the batch
   };
 
-  /// Per-worker reusable state: the crawl scratch plus, in kColdPerQuery
-  /// mode, one BufferPool recycled across the worker's queries — Clear()
-  /// (an O(1) epoch bump) plus set_stats() gives every query the same cold
-  /// cache and per-query accounting a fresh pool would, without
-  /// re-allocating the pool's page table each time. The pool is rebuilt
-  /// only when a multi-index batch switches the worker to a different
-  /// PageStore.
+  /// Per-participant reusable state (index 0 belongs to the calling
+  /// thread): the crawl scratch plus, in kColdPerQuery mode, one BufferPool
+  /// recycled across the participant's queries — Clear() (an O(1) epoch
+  /// bump) plus set_stats() gives every query the same cold cache and
+  /// per-query accounting a fresh pool would, without re-allocating the
+  /// pool's page table each time. The pool is rebuilt only when a
+  /// multi-index batch switches the participant to a different PageStore.
   struct WorkerState {
     CrawlScratch scratch;
     std::unique_ptr<BufferPool> pool;
   };
 
-  void ProcessQueue(size_t worker_index, const Job& job);
-  bool PopOwn(size_t worker_index, size_t* query_index);
-  bool Steal(size_t worker_index, size_t* query_index);
+  void ProcessQueue(size_t participant, const Job& job);
+  bool PopOwn(size_t participant, size_t* query_index);
+  bool Steal(size_t participant, size_t participants, size_t* query_index);
   void ExecuteQuery(const Job& job, const IndexedQuery& iq,
                     QueryResult* result, WorkerState* state);
 
@@ -311,7 +318,7 @@ class QueryEngine {
 
   ThreadPool pool_;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::unique_ptr<WorkerState>> workers_;  // one per worker
+  std::vector<std::unique_ptr<WorkerState>> workers_;  // one per participant
 };
 
 }  // namespace flat

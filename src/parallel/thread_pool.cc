@@ -9,9 +9,10 @@ ThreadPool::ThreadPool(size_t threads) {
   if (threads == 0) {
     threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  // The dispatching thread is participant 0: spawn the other threads - 1.
+  workers_.reserve(threads - 1);
+  for (size_t i = 1; i < threads; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -24,50 +25,64 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::RunOnAllWorkers(const std::function<void(size_t)>& fn) {
-  std::exception_ptr error;
+void ThreadPool::Run(size_t participants,
+                     const std::function<void(size_t)>& fn) {
+  participants = std::min(participants, threads());
+  if (participants == 0) return;
+  if (participants == 1) {
+    fn(0);
+    return;
+  }
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     task_ = &fn;
     task_error_ = nullptr;
-    active_workers_ = workers_.size();
-    ++generation_;
-    work_cv_.notify_all();
-    done_cv_.wait(lock, [this] { return active_workers_ == 0; });
-    task_ = nullptr;
+    slots_ = participants - 1;
+    claimed_ = 0;
+    finished_ = 0;
+    // Notify under the lock, one wakeup per slot. A woken worker claims a
+    // slot only if one is left, and a worker not yet waiting claims one
+    // before it waits, so every slot is run whichever workers wake.
+    for (size_t i = 0; i < slots_; ++i) work_cv_.notify_one();
+  }
+  std::exception_ptr error;
+  try {
+    fn(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (error != nullptr && task_error_ == nullptr) task_error_ = error;
+    done_cv_.wait(lock, [this] { return finished_ == slots_; });
     error = task_error_;
     task_error_ = nullptr;
+    task_ = nullptr;
+    slots_ = claimed_ = finished_ = 0;
   }
-  // Rethrow the first worker exception on the dispatching thread, after the
-  // barrier: every worker has finished, so the pool stays consistent and
-  // reusable.
+  // Rethrow the first exception on the dispatching thread, after the
+  // barrier: every participant has finished, so the pool stays consistent
+  // and reusable.
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-void ThreadPool::WorkerLoop(size_t worker) {
-  uint64_t seen_generation = 0;
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    const std::function<void(size_t)>* task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this, seen_generation] {
-        return shutdown_ || generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      task = task_;
-    }
+    work_cv_.wait(lock, [this] { return shutdown_ || claimed_ < slots_; });
+    if (shutdown_) return;
+    const size_t participant = 1 + claimed_++;
+    const std::function<void(size_t)>* task = task_;
+    lock.unlock();
     std::exception_ptr error;
     try {
-      (*task)(worker);
+      (*task)(participant);
     } catch (...) {
       error = std::current_exception();
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (error != nullptr && task_error_ == nullptr) task_error_ = error;
-      if (--active_workers_ == 0) done_cv_.notify_all();
-    }
+    lock.lock();
+    if (error != nullptr && task_error_ == nullptr) task_error_ = error;
+    if (++finished_ == slots_) done_cv_.notify_one();
   }
 }
 
@@ -75,11 +90,10 @@ void ThreadPool::ParallelFor(
     size_t count, size_t grain,
     const std::function<void(size_t worker, size_t index)>& fn) {
   if (count == 0) return;
-  if (grain == 0) {
-    grain = std::max<size_t>(1, count / (workers_.size() * 8));
-  }
+  if (grain == 0) grain = std::max<size_t>(1, count / (threads() * 8));
+  const size_t blocks = count / grain + (count % grain != 0);
   std::atomic<size_t> cursor{0};
-  RunOnAllWorkers([&](size_t worker) {
+  Run(blocks, [&](size_t worker) {
     for (;;) {
       const size_t begin = cursor.fetch_add(grain, std::memory_order_relaxed);
       if (begin >= count) return;
@@ -91,7 +105,7 @@ void ThreadPool::ParallelFor(
 
 void ParallelFor(ThreadPool* pool, size_t count, size_t grain,
                  const std::function<void(size_t worker, size_t index)>& fn) {
-  if (pool == nullptr || pool->threads() == 1 || count <= 1) {
+  if (pool == nullptr) {
     for (size_t index = 0; index < count; ++index) fn(0, index);
     return;
   }

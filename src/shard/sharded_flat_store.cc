@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -136,14 +137,31 @@ uint64_t LoadGenerationSidecar(const std::filesystem::path& path) {
   return generation;
 }
 
-void SaveGenerationSidecar(const std::filesystem::path& path,
-                           uint64_t generation) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(kGenerationMagic, sizeof(kGenerationMagic));
-  out.write(reinterpret_cast<const char*>(&generation), sizeof(generation));
-  if (!out) {
-    throw std::runtime_error("ShardedFlatStore: cannot write " +
-                             path.string());
+// Writes `path` by streaming `write` into `<path>.tmp` and renaming that
+// over `path`. The target is never truncated in place: a store Loaded from
+// this directory may still have the old file mmapped, and truncating it
+// under the mapping kills the process with SIGBUS on the next page touch.
+// The rename leaves the old inode alive for as long as it stays mapped.
+void ReplaceFile(const std::filesystem::path& path,
+                 const std::function<void(std::ostream&)>& write) {
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  try {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw std::runtime_error("ShardedFlatStore::Save: cannot open " +
+                               tmp.string());
+    }
+    write(out);
+    out.close();
+    if (!out) {
+      throw std::runtime_error("ShardedFlatStore::Save: cannot write " +
+                               tmp.string());
+    }
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw;
   }
 }
 
@@ -684,34 +702,23 @@ void ShardedFlatStore::Save(const std::string& dir) const {
     }
   }
 
-  std::ofstream catalog_out(root / kCatalogFileName,
-                            std::ios::binary | std::ios::trunc);
-  if (!catalog_out) {
-    throw std::runtime_error("ShardedFlatStore::Save: cannot open catalog " +
-                             (root / kCatalogFileName).string());
-  }
-  SaveShardCatalog(base.catalog, catalog_out);
+  ReplaceFile(root / kCatalogFileName, [&](std::ostream& out) {
+    SaveShardCatalog(base.catalog, out);
+  });
 
   for (size_t i = 0; i < base.files.size(); ++i) {
     const fs::path path = root / base.catalog.shards[i].page_file_name;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("ShardedFlatStore::Save: cannot open " +
-                               path.string());
-    }
-    SavePageFile(*base.files[i], out);
+    ReplaceFile(path,
+                [&](std::ostream& out) { SavePageFile(*base.files[i], out); });
 
     // Aggregate sidecar rides next to the page file it indexes into; a
     // shard without aggregates removes any stale sidecar so a reload never
     // pairs this generation's pages with an older generation's counts.
     const fs::path agg_path = path.string() + ".agg";
     if (base.indexes[i].has_aggregates()) {
-      std::ofstream agg_out(agg_path, std::ios::binary | std::ios::trunc);
-      if (!agg_out) {
-        throw std::runtime_error("ShardedFlatStore::Save: cannot open " +
-                                 agg_path.string());
-      }
-      SaveSeedAggregates(*base.indexes[i].aggregates(), agg_out);
+      ReplaceFile(agg_path, [&](std::ostream& out) {
+        SaveSeedAggregates(*base.indexes[i].aggregates(), out);
+      });
     } else {
       fs::remove(agg_path);
     }
@@ -719,15 +726,15 @@ void ShardedFlatStore::Save(const std::string& dir) const {
 
   // The overlay WAL holds the pinned window (possibly zero ops) — Load
   // replays it, so the reloaded store answers exactly like this snapshot.
-  std::ofstream wal_out(root / kOverlayWalFileName,
-                        std::ios::binary | std::ios::trunc);
-  if (!wal_out) {
-    throw std::runtime_error("ShardedFlatStore::Save: cannot open WAL " +
-                             (root / kOverlayWalFileName).string());
-  }
-  SaveDeltaOps(state_->log, base.overlay_floor, snapshot.epoch_, wal_out);
+  ReplaceFile(root / kOverlayWalFileName, [&](std::ostream& out) {
+    SaveDeltaOps(state_->log, base.overlay_floor, snapshot.epoch_, out);
+  });
 
-  SaveGenerationSidecar(generation_path, base.catalog.generation);
+  const uint64_t generation = base.catalog.generation;
+  ReplaceFile(generation_path, [&](std::ostream& out) {
+    out.write(kGenerationMagic, sizeof(kGenerationMagic));
+    out.write(reinterpret_cast<const char*>(&generation), sizeof(generation));
+  });
 }
 
 ShardedFlatStore ShardedFlatStore::Load(

@@ -90,9 +90,10 @@ class ShardedFlatStore {
     /// partitions; the actual count (`shard_count()`) can differ slightly
     /// for awkward element/shard ratios. 1 always yields exactly one shard.
     size_t num_shards = 4;
-    /// Worker threads for the shard builds and the query engine: 1 (default)
-    /// is serial, 0 uses std::thread::hardware_concurrency(). Results and
-    /// I/O totals are identical for every value.
+    /// Threads for the shard builds and the query engine, the calling
+    /// thread included: 1 (default) is serial, 0 uses
+    /// std::thread::hardware_concurrency(). Results and I/O totals are
+    /// identical for every value.
     size_t num_threads = 1;
     /// Page size of every shard's PageFile.
     uint32_t page_size = kDefaultPageSize;
@@ -268,8 +269,11 @@ class ShardedFlatStore {
   /// "shard-NNNN.pgf" PageFile per shard, "catalog.flatshard", the overlay
   /// WAL "overlay.flatwal" (the current window, possibly empty) and the
   /// "generation.flatgen" sidecar. Existing files with those names are
-  /// overwritten — unless the directory's sidecar records a NEWER
-  /// generation than this store's, in which case Save throws
+  /// replaced, each written to "<name>.tmp" and renamed over the old one,
+  /// so saving into the directory a disk-backed store was Loaded from is
+  /// safe: the old files stay valid under the live mappings. (Not yet
+  /// crash-atomic across files: no fsync, no manifest.) If the directory's
+  /// sidecar records a NEWER generation than this store's, Save throws
   /// std::runtime_error ("stale generation"): a store must never clobber a
   /// directory that already holds a later compaction of itself.
   void Save(const std::string& dir) const;

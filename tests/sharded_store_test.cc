@@ -278,6 +278,45 @@ TEST(ShardedStoreTest, SaveLoadRoundTripIsBitIdentical) {
   std::filesystem::remove_all(dir);
 }
 
+// Regression: Save used to truncate each shard file in place, so a store
+// Loaded disk-backed from a directory died with SIGBUS when it saved back
+// into that directory (its mapping of the old file lost its pages). Save
+// now writes "<name>.tmp" and renames it over, leaving the mapped inode
+// intact: the loaded store keeps answering, and a reload reads the new
+// files.
+TEST(ShardedStoreTest, SaveIntoLoadDirectoryKeepsMappedStoreValid) {
+  NeuronParams params;
+  params.total_elements = 50000;
+  const Dataset dataset = GenerateNeurons(params);
+  ShardedFlatStore store = ShardedFlatStore::Build(
+      dataset.elements, {.num_shards = 2, .num_threads = 2});
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "flat_sharded_store_resave";
+  std::filesystem::remove_all(dir);
+  store.Save(dir.string());
+
+  ShardedFlatStore loaded = ShardedFlatStore::Load(
+      dir.string(), /*num_threads=*/2, ShardedFlatStore::LoadBackend::kDisk);
+  loaded.Save(dir.string());
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+
+  ShardedFlatStore reloaded = ShardedFlatStore::Load(
+      dir.string(), /*num_threads=*/2, ShardedFlatStore::LoadBackend::kDisk);
+  Rng rng(61);
+  const Vec3 half = dataset.bounds.Extents() * 0.05;
+  for (int i = 0; i < 30; ++i) {
+    const Aabb query =
+        Aabb::FromCenterHalfExtents(rng.PointIn(dataset.bounds), half);
+    const std::vector<uint64_t> want = Sorted(dataset.BruteForceRange(query));
+    EXPECT_EQ(loaded.RangeQuery(query), want) << "query " << i;
+    EXPECT_EQ(reloaded.RangeQuery(query), want) << "query " << i;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardedStoreTest, EmptyStore) {
   ShardedFlatStore store = ShardedFlatStore::Build({}, {.num_shards = 4});
   EXPECT_EQ(store.shard_count(), 0u);

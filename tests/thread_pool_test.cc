@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_sort.h"
@@ -21,15 +27,57 @@ TEST(ThreadPoolTest, ZeroThreadsDefaultsToHardwareConcurrency) {
   EXPECT_GE(pool.threads(), 1u);
 }
 
-TEST(ThreadPoolTest, RunOnAllWorkersVisitsEveryWorkerOnce) {
+TEST(ThreadPoolTest, RunVisitsEveryParticipantOnce) {
   ThreadPool pool(4);
   ASSERT_EQ(pool.threads(), 4u);
-  std::vector<std::atomic<int>> visits(4);
-  pool.RunOnAllWorkers([&](size_t worker) {
-    ASSERT_LT(worker, 4u);
-    ++visits[worker];
+  const std::thread::id caller = std::this_thread::get_id();
+  for (size_t k = 1; k <= 4; ++k) {
+    SCOPED_TRACE(k);
+    std::vector<std::atomic<int>> visits(4);
+    std::vector<std::thread::id> ran_on(4);
+    pool.Run(k, [&](size_t participant) {
+      ASSERT_LT(participant, k);
+      ++visits[participant];
+      ran_on[participant] = std::this_thread::get_id();
+    });
+    for (size_t p = 0; p < 4; ++p) EXPECT_EQ(visits[p].load(), p < k ? 1 : 0);
+    // Participant 0 is the dispatching thread; the others are workers.
+    EXPECT_EQ(ran_on[0], caller);
+    for (size_t p = 1; p < k; ++p) EXPECT_NE(ran_on[p], caller);
+  }
+}
+
+TEST(ThreadPoolTest, RunOfZeroIsANoopAndWideRunsAreCapped) {
+  ThreadPool pool(3);
+  pool.Run(0, [&](size_t) { FAIL(); });
+  std::vector<std::atomic<int>> visits(3);
+  pool.Run(10, [&](size_t participant) {
+    ASSERT_LT(participant, 3u);
+    ++visits[participant];
   });
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+// A pool of one participant spawns no thread: every dispatch, whatever its
+// width, runs on the calling thread.
+TEST(ThreadPoolTest, PoolOfOneRunsEverythingOnTheCaller) {
+  ThreadPool pool(1);
+  ASSERT_EQ(pool.threads(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  pool.Run(4, [&](size_t participant) {
+    EXPECT_EQ(participant, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+  std::vector<size_t> order;
+  pool.ParallelFor(5, /*grain=*/2, [&](size_t worker, size_t index) {
+    EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(index);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -76,14 +124,14 @@ TEST(ThreadPoolTest, ParallelForZeroCountIsANoop) {
 TEST(ThreadPoolTest, WorkerExceptionRethrownOnDispatchingThread) {
   ThreadPool pool(4);
   EXPECT_THROW(
-      pool.RunOnAllWorkers([](size_t worker) {
+      pool.Run(pool.threads(), [](size_t worker) {
         if (worker == 2) throw std::runtime_error("worker 2 failed");
       }),
       std::runtime_error);
 
   try {
-    pool.RunOnAllWorkers(
-        [](size_t) { throw std::runtime_error("all workers fail"); });
+    pool.Run(pool.threads(),
+             [](size_t) { throw std::runtime_error("all workers fail"); });
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()), "all workers fail");
@@ -95,10 +143,11 @@ TEST(ThreadPoolTest, WorkerExceptionRethrownOnDispatchingThread) {
 TEST(ThreadPoolTest, PoolRemainsUsableAfterWorkerException) {
   ThreadPool pool(3);
   std::atomic<int> completed{0};
-  EXPECT_THROW(pool.RunOnAllWorkers([&](size_t worker) {
-    ++completed;
-    if (worker == 0) throw std::runtime_error("boom");
-  }),
+  EXPECT_THROW(pool.Run(pool.threads(),
+                        [&](size_t worker) {
+                          ++completed;
+                          if (worker == 0) throw std::runtime_error("boom");
+                        }),
                std::runtime_error);
   EXPECT_EQ(completed.load(), 3);
 
@@ -108,6 +157,101 @@ TEST(ThreadPoolTest, PoolRemainsUsableAfterWorkerException) {
       sum.fetch_add(index, std::memory_order_relaxed);
     });
     ASSERT_EQ(sum.load(), 100u * 99u / 2);
+  }
+}
+
+// Participant 0 runs on the caller; when it throws at once, the rethrow
+// still waits for the slow workers to return (the barrier holds).
+TEST(ThreadPoolTest, CallerExceptionRethrownAfterWorkersReturn) {
+  ThreadPool pool(4);
+  for (size_t k = 2; k <= 4; ++k) {
+    SCOPED_TRACE(k);
+    std::atomic<size_t> completed{0};
+    EXPECT_THROW(pool.Run(k,
+                          [&](size_t participant) {
+                            if (participant == 0) {
+                              throw std::runtime_error("caller failed");
+                            }
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(20));
+                            ++completed;
+                          }),
+                 std::runtime_error);
+    EXPECT_EQ(completed.load(), k - 1);
+  }
+}
+
+// Aborts the process if no Tick() arrives within `limit`: a lost wakeup in
+// the pool leaves a dispatch waiting forever at 0 % CPU, and this turns
+// that hang into a prompt failure instead of a stalled test run.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : limit_(limit), thread_([this] { Loop(); }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+  void Tick() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++ticks_;
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!done_) {
+      const uint64_t seen = ticks_;
+      if (!cv_.wait_for(lock, limit_,
+                        [&] { return done_ || ticks_ != seen; })) {
+        std::fprintf(stderr, "watchdog: dispatch %llu stalled for %llds\n",
+                     static_cast<unsigned long long>(seen),
+                     static_cast<long long>(limit_.count()));
+        std::abort();
+      }
+    }
+  }
+
+  const std::chrono::seconds limit_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  uint64_t ticks_ = 0;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+// Lost-wakeup stress: narrow dispatches (k = 2 .. threads()-1, which wake
+// only some workers) alternate with full-width ones, so workers that sat
+// out one dispatch and workers that just finished a slot race for the
+// next. Every participant index must run exactly once per dispatch, and
+// no dispatch may stall.
+TEST(ThreadPoolTest, NarrowAndFullDispatchesNeverLoseAWakeup) {
+  for (size_t threads : {4u, 8u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    Watchdog watchdog(std::chrono::seconds(60));
+    std::vector<std::atomic<uint32_t>> visits(threads);
+    const size_t narrow_widths = threads - 2;  // k in [2, threads)
+    for (size_t round = 0; round < 10000; ++round) {
+      const size_t k =
+          round % 2 == 0 ? threads : 2 + (round / 2) % narrow_widths;
+      pool.Run(k, [&](size_t participant) {
+        visits[participant].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (size_t p = 0; p < threads; ++p) {
+        ASSERT_EQ(visits[p].exchange(0), p < k ? 1u : 0u)
+            << "round " << round << " participant " << p;
+      }
+      watchdog.Tick();
+    }
   }
 }
 
