@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "core/partitioner.h"
+#include "core/sort_ids.h"
 #include "delta/delta_log.h"
 #include "delta/overlay_view.h"
 #include "parallel/thread_pool.h"
@@ -65,12 +66,13 @@ Aabb QueryGate(const Query& query) {
 }
 
 // Gathers the sub-results of one scattered query: I/O is summed per
-// category; materializing queries concatenate ids and sort ascending (the
-// store's canonical order). No dedup is needed: the shards partition the
-// elements, per-shard result sets are disjoint, and overlay merging masks
-// every overlay-touched id out of base results before appending overlay
-// matches — so the sorted merge is exactly the sorted result of an
-// unsharded index over the merged data.
+// category; materializing queries concatenate ids (a lone sub-result's
+// vector is moved in, not copied) and put them in the store's canonical
+// ascending order with SortIds, a linear-time radix sort. No dedup is
+// needed: the shards partition the elements, per-shard result sets are
+// disjoint, and overlay merging masks every overlay-touched id out of base
+// results before appending overlay matches — so the sorted merge is exactly
+// the sorted result of an unsharded index over the merged data.
 //
 // Fail-soft: if any sub-query stopped early, the merged result carries a
 // non-kOk status — the group's originating status when `group` is set
@@ -83,15 +85,25 @@ Aabb QueryGate(const Query& query) {
 void GatherSubResults(std::vector<QueryResult>* sub_results, size_t first,
                       size_t count, Query::Type type, const QueryGroup* group,
                       QueryResult* out) {
+  const bool materializing = type != Query::Type::kRangeCount;
+  if (materializing && count > 1) {
+    size_t total = 0;
+    for (size_t s = 0; s < count; ++s) {
+      total += (*sub_results)[first + s].ids.size();
+    }
+    out->ids.reserve(total);
+  }
   for (size_t s = 0; s < count; ++s) {
-    const QueryResult& sub = (*sub_results)[first + s];
+    QueryResult& sub = (*sub_results)[first + s];
     out->io += sub.io;
     if (out->status == QueryStatus::kOk && sub.status != QueryStatus::kOk) {
       out->status = sub.status;
       out->error = sub.error;
     }
-    if (type == Query::Type::kRangeCount) {
+    if (!materializing) {
       out->count += sub.count;
+    } else if (count == 1) {
+      out->ids = std::move(sub.ids);
     } else {
       out->ids.insert(out->ids.end(), sub.ids.begin(), sub.ids.end());
     }
@@ -110,8 +122,8 @@ void GatherSubResults(std::vector<QueryResult>* sub_results, size_t first,
       }
     }
   }
-  if (type != Query::Type::kRangeCount) {
-    std::sort(out->ids.begin(), out->ids.end());
+  if (materializing) {
+    SortIds(&out->ids);
     out->count = out->ids.size();
   }
 }

@@ -6,11 +6,15 @@
 // byte-deterministic across thread counts.
 #include "shard/sharded_flat_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -222,6 +226,107 @@ TEST(ShardedStoreTest, ResultsAreCorrectNotJustConsistent) {
       ShardedFlatStore::Build(entries, {.num_shards = 6, .num_threads = 2});
   for (const Aabb& query : RandomQueries(30, /*seed=*/32)) {
     EXPECT_EQ(store.RangeQuery(query), BruteForce(entries, query));
+  }
+}
+
+bool StrictlyAscending(const std::vector<uint64_t>& ids) {
+  return std::adjacent_find(ids.begin(), ids.end(),
+                            std::greater_equal<uint64_t>()) == ids.end();
+}
+
+// The canonical order holds for ids anywhere in the 64-bit range, not only
+// for the dense 0..n-1 ids of the suites above: the gather's radix sort has
+// to order every digit, the top ones included. The base's ids have random
+// bits in every byte (about half of them >= 2^63) and the overlay adds ids
+// just below UINT64_MAX and erases some base ids. Range, sphere and
+// seed-scan queries, through the store calls, RunBatch and
+// Snapshot::Execute, must return strictly ascending ids equal to brute
+// force — both before the overlay exists (small queries then gather one
+// shard's sub-result alone) and after.
+TEST(ShardedStoreTest, CanonicalOrderHoldsAcrossTheFull64BitIdRange) {
+  std::vector<RTreeEntry> entries =
+      RandomEntries(12000, /*seed=*/41, /*max_side=*/6.0);
+  Rng rng(42);
+  std::unordered_set<uint64_t> used;
+  for (RTreeEntry& e : entries) {
+    do {
+      e.id = rng.engine()();
+    } while (e.id > std::numeric_limits<uint64_t>::max() - 1000 ||
+             !used.insert(e.id).second);
+  }
+  ShardedFlatStore store =
+      ShardedFlatStore::Build(entries, {.num_shards = 5, .num_threads = 4});
+  ASSERT_GT(store.shard_count(), 1u);
+
+  std::vector<Aabb> boxes = RandomQueries(30, /*seed=*/43);
+  boxes.push_back(Aabb(Vec3(0, 0, 0), Vec3(100, 100, 100)));  // every shard
+  boxes.push_back(Aabb(Vec3(10, 10, 10), Vec3(11, 11, 11)));  // a few ids
+
+  const auto check_all = [&](const std::vector<RTreeEntry>& live) {
+    const ShardedFlatStore::Snapshot snapshot = store.PinSnapshot();
+    for (size_t qi = 0; qi < boxes.size(); ++qi) {
+      SCOPED_TRACE("query " + std::to_string(qi));
+      const Aabb& box = boxes[qi];
+      const Vec3 center = box.Center();
+      const double radius = box.Extents().Norm() / 2;
+      const std::vector<uint64_t> expected_range = BruteForce(live, box);
+      std::vector<uint64_t> expected_sphere;
+      for (const RTreeEntry& e : live) {
+        if (e.box.IntersectsSphere(center, radius)) {
+          expected_sphere.push_back(e.id);
+        }
+      }
+      std::sort(expected_sphere.begin(), expected_sphere.end());
+      ASSERT_TRUE(StrictlyAscending(expected_range));
+
+      const std::vector<Query> batch = {Query::Range(box),
+                                        Query::Sphere(center, radius),
+                                        Query::RangeSeedScan(box)};
+      const std::vector<const std::vector<uint64_t>*> expected = {
+          &expected_range, &expected_sphere, &expected_range};
+      const std::vector<QueryResult> batched = store.RunBatch(batch);
+      ASSERT_EQ(batched.size(), batch.size());
+      const std::vector<std::vector<uint64_t>> single = {
+          store.RangeQuery(box), store.SphereQuery(center, radius)};
+      for (size_t t = 0; t < batch.size(); ++t) {
+        SCOPED_TRACE("type " + std::to_string(t));
+        const QueryResult executed = snapshot.Execute(batch[t]);
+        for (const std::vector<uint64_t>* ids :
+             {&batched[t].ids, &executed.ids}) {
+          EXPECT_TRUE(StrictlyAscending(*ids));
+          EXPECT_EQ(*ids, *expected[t]);
+        }
+        EXPECT_EQ(batched[t].count, expected[t]->size());
+        if (t < single.size()) EXPECT_EQ(single[t], *expected[t]);
+      }
+    }
+  };
+
+  {
+    SCOPED_TRACE("base only");
+    check_all(entries);
+  }
+
+  // Overlay: inserts at UINT64_MAX - 999 .. UINT64_MAX, and every tenth
+  // base element erased.
+  std::vector<RTreeEntry> live;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i % 10 == 0) {
+      store.Erase(entries[i].id);
+    } else {
+      live.push_back(entries[i]);
+    }
+  }
+  const std::vector<RTreeEntry> extra = RandomEntries(1000, /*seed=*/44);
+  for (size_t i = 0; i < extra.size(); ++i) {
+    const RTreeEntry entry{extra[i].box,
+                           std::numeric_limits<uint64_t>::max() - i};
+    store.Insert(entry);
+    live.push_back(entry);
+  }
+  {
+    SCOPED_TRACE("with overlay");
+    check_all(live);
   }
 }
 
