@@ -5,25 +5,13 @@
 #include <cmath>
 
 #include "core/grid_join.h"
-#include "parallel/parallel_sort.h"
 #include "parallel/thread_pool.h"
 #include "rtree/pack.h"
 
 namespace flat {
 namespace {
 
-// Boundary between two adjacent chunks on `axis`: midway between the last
-// center of the left chunk and the first center of the right chunk. Using
-// element centers keeps every element's center inside its own tile.
-double ChunkBoundary(const std::vector<RTreeEntry>& elements, size_t left_last,
-                     size_t right_first, int axis) {
-  return 0.5 * (elements[left_last].box.Center()[axis] +
-                elements[right_first].box.Center()[axis]);
-}
-
-// Splits [begin, end) into chunks of `chunk_size` and reports, for chunk k,
-// its [lo, hi] interval on `axis` such that consecutive chunks share
-// boundaries and the outermost chunks extend to [axis_lo, axis_hi].
+// One chunk of an STR pass, with its [lo, hi] interval on the pass's axis.
 struct Chunk {
   size_t begin;
   size_t end;
@@ -31,20 +19,57 @@ struct Chunk {
   double hi;
 };
 
-std::vector<Chunk> MakeChunks(const std::vector<RTreeEntry>& elements,
-                              size_t begin, size_t end, size_t chunk_size,
-                              int axis, double axis_lo, double axis_hi) {
-  std::vector<Chunk> chunks;
-  double lo = axis_lo;
-  for (size_t s = begin; s < end; s += chunk_size) {
-    const size_t e = std::min(end, s + chunk_size);
-    double hi = e < end ? ChunkBoundary(elements, e - 1, e, axis) : axis_hi;
-    // Guard against non-monotone boundaries when many centers coincide.
-    hi = std::max(hi, lo);
-    chunks.push_back({s, e, lo, hi});
-    lo = hi;
+// A range of elements an earlier pass separated, to be cut every `step`.
+struct Segment {
+  size_t begin;
+  size_t end;
+  size_t step;
+};
+
+// One STR pass on `axis`: cuts every segment into chunks of its `step`
+// elements, selects them, and returns each segment's chunks with their tile
+// intervals. Consecutive chunks of a segment share boundaries, placed midway
+// between the last center of the left chunk and the first center of the
+// right chunk — so every element's center stays inside its own tile — and
+// the outermost chunks extend to [axis_lo, axis_hi].
+
+std::vector<std::vector<Chunk>> TilePass(std::vector<RTreeEntry>* elements,
+                                         const std::vector<Segment>& segments,
+                                         int axis, double axis_lo,
+                                         double axis_hi, ThreadPool* pool) {
+  StrCuts cuts;
+  for (const Segment& segment : segments) {
+    cuts.AddSegment(segment.begin, segment.end, segment.step, segment.begin);
   }
-  if (!chunks.empty()) chunks.back().hi = std::max(axis_hi, chunks.back().lo);
+  SelectPieces(elements, cuts, axis, pool);
+
+  // Each chunk's first and last center under the pass's order, which a
+  // sort would have put at the chunk's ends.
+  const EntryCenterOrder order{axis};
+  std::vector<double> first_center(cuts.pieces());
+  std::vector<double> last_center(cuts.pieces());
+  ParallelFor(pool, cuts.pieces(), /*grain=*/0, [&](size_t, size_t k) {
+    const auto [first, last] =
+        std::minmax_element(elements->begin() + cuts.cuts[k],
+                            elements->begin() + cuts.cuts[k + 1], order);
+    first_center[k] = first->box.Center()[axis];
+    last_center[k] = last->box.Center()[axis];
+  });
+
+  std::vector<std::vector<Chunk>> chunks(segments.size());
+  for (size_t s = 0; s < segments.size(); ++s) {
+    const auto [first_cut, last_cut] = cuts.segments[s];
+    double lo = axis_lo;
+    for (size_t k = first_cut; k < last_cut; ++k) {
+      double hi = k + 1 < last_cut
+                      ? 0.5 * (last_center[k] + first_center[k + 1])
+                      : axis_hi;
+      // Guard against non-monotone boundaries when many centers coincide.
+      hi = std::max(hi, lo);
+      chunks[s].push_back({cuts.cuts[k], cuts.cuts[k + 1], lo, hi});
+      lo = hi;
+    }
+  }
   return chunks;
 }
 
@@ -63,71 +88,62 @@ std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
   const size_t total_pages = (n + page_capacity - 1) / page_capacity;
   const size_t sx = CeilCbrt(total_pages);
   const size_t x_chunk = (n + sx - 1) / sx;
+  const std::vector<Chunk> x_chunks =
+      TilePass(elements, {{0, n, x_chunk}}, 0, universe.lo().x,
+               universe.hi().x, pool)
+          .front();
 
-  ParallelSort(pool, elements->begin(), elements->end(), EntryCenterOrder{0});
-  const std::vector<Chunk> x_chunks = MakeChunks(
-      *elements, 0, n, x_chunk, 0, universe.lo().x, universe.hi().x);
+  // y pass: each x-slab is cut into ceil(sqrt(slab pages)) runs.
+  std::vector<Segment> slabs;
+  for (const Chunk& xc : x_chunks) {
+    const size_t m = xc.end - xc.begin;
+    const size_t slab_pages = (m + page_capacity - 1) / page_capacity;
+    const size_t sy = CeilSqrt(slab_pages);
+    slabs.push_back({xc.begin, xc.end, (m + sy - 1) / sy});
+  }
+  const std::vector<std::vector<Chunk>> y_chunks = TilePass(
+      elements, slabs, 1, universe.lo().y, universe.hi().y, pool);
 
-  // y pass: the x-slabs are independent ranges, sorted in parallel.
-  ParallelFor(pool, x_chunks.size(), /*grain=*/1, [&](size_t, size_t s) {
-    std::sort(elements->begin() + x_chunks[s].begin,
-              elements->begin() + x_chunks[s].end, EntryCenterOrder{1});
-  });
-
-  // Collect every y-run (with its owning x-slab) so the z pass can sort all
-  // runs in one parallel sweep.
+  // z pass: every run is cut into page-sized chunks, one partition each.
   struct Run {
     size_t x_index;
     Chunk y;
   };
   std::vector<Run> runs;
-  for (size_t s = 0; s < x_chunks.size(); ++s) {
-    const Chunk& xc = x_chunks[s];
-    const size_t m = xc.end - xc.begin;
-    const size_t slab_pages = (m + page_capacity - 1) / page_capacity;
-    const size_t sy = CeilSqrt(slab_pages);
-    const size_t y_chunk = (m + sy - 1) / sy;
-    for (const Chunk& yc : MakeChunks(*elements, xc.begin, xc.end, y_chunk, 1,
-                                      universe.lo().y, universe.hi().y)) {
+  std::vector<Segment> run_segments;
+  for (size_t s = 0; s < y_chunks.size(); ++s) {
+    for (const Chunk& yc : y_chunks[s]) {
       runs.push_back({s, yc});
+      run_segments.push_back({yc.begin, yc.end, page_capacity});
     }
   }
+  const std::vector<std::vector<Chunk>> z_chunks = TilePass(
+      elements, run_segments, 2, universe.lo().z, universe.hi().z, pool);
 
-  // z pass: sort each run, split it into page-sized z-chunks, and emit the
-  // run's partitions (tile, page MBR, stretched partition MBR). Runs write
-  // into their own slot, then concatenate in run order, so the partition
-  // sequence matches the serial construction exactly.
-  std::vector<std::vector<PartitionInfo>> per_run(runs.size());
-  ParallelFor(pool, runs.size(), /*grain=*/1, [&](size_t, size_t r) {
+  // Emit the partitions (tile, page MBR, stretched partition MBR) in run
+  // order, so the partition sequence matches the serial construction.
+  std::vector<size_t> run_first(runs.size() + 1, 0);
+  for (size_t r = 0; r < runs.size(); ++r) {
+    run_first[r + 1] = run_first[r] + z_chunks[r].size();
+  }
+  partitions.resize(run_first.back());
+  ParallelFor(pool, runs.size(), /*grain=*/0, [&](size_t, size_t r) {
     const Chunk& xc = x_chunks[runs[r].x_index];
     const Chunk& yc = runs[r].y;
-    std::sort(elements->begin() + yc.begin, elements->begin() + yc.end,
-              EntryCenterOrder{2});
-    const std::vector<Chunk> z_chunks =
-        MakeChunks(*elements, yc.begin, yc.end, page_capacity, 2,
-                   universe.lo().z, universe.hi().z);
-    per_run[r].reserve(z_chunks.size());
-    for (const Chunk& zc : z_chunks) {
-      PartitionInfo partition;
+    for (size_t k = 0; k < z_chunks[r].size(); ++k) {
+      const Chunk& zc = z_chunks[r][k];
+      PartitionInfo& partition = partitions[run_first[r] + k];
       partition.first = static_cast<uint32_t>(zc.begin);
       partition.count = static_cast<uint32_t>(zc.end - zc.begin);
       partition.tile =
           Aabb(Vec3(xc.lo, yc.lo, zc.lo), Vec3(xc.hi, yc.hi, zc.hi));
-      Aabb page_mbr;
       for (size_t i = zc.begin; i < zc.end; ++i) {
-        page_mbr.ExpandToInclude((*elements)[i].box);
+        partition.page_mbr.ExpandToInclude((*elements)[i].box);
       }
-      partition.page_mbr = page_mbr;
       partition.partition_mbr = partition.tile;
-      partition.partition_mbr.ExpandToInclude(page_mbr);  // stretch
-      per_run[r].push_back(std::move(partition));
+      partition.partition_mbr.ExpandToInclude(partition.page_mbr);  // stretch
     }
   });
-  for (std::vector<PartitionInfo>& run_partitions : per_run) {
-    for (PartitionInfo& partition : run_partitions) {
-      partitions.push_back(std::move(partition));
-    }
-  }
   return partitions;
 }
 

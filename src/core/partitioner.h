@@ -28,21 +28,25 @@ struct PartitionInfo {
   std::vector<uint32_t> neighbors;
 };
 
-/// Segments space into page-sized partitions per Algorithm 1: sort elements
+/// Segments space into page-sized partitions per Algorithm 1: cut elements
 /// on x-center into slabs, each slab on y into runs, each run on z into
-/// page-capacity chunks. Tile boundaries are placed midway between adjacent
-/// element centers (outermost tiles extend to the universe bounds), so the
-/// tiles cover `universe` with no empty space — the first partitioning
-/// property of Section V-B. Each partition MBR is then stretched to enclose
-/// its page MBR — the second property.
+/// page-capacity chunks. Every cut is placed by selection (SelectPieces),
+/// not by a sort: a chunk only needs to know which elements fall between
+/// its boundaries. Tile boundaries are placed midway between the extreme
+/// element centers of adjacent chunks (outermost tiles extend to the
+/// universe bounds), so the tiles cover `universe` with no empty space —
+/// the first partitioning property of Section V-B. Each partition MBR is
+/// then stretched to enclose its page MBR — the second property.
 ///
 /// `elements` is reordered in place; on return, partition i owns
-/// elements [first, first+count).
+/// elements [first, first+count), in unspecified order within the
+/// partition (a page writer that needs an order sorts its own elements).
 ///
-/// With a `pool`, the x pass runs as a parallel merge sort and the per-slab
-/// y / per-run z passes sort independent ranges in parallel. The sorting
-/// passes use a strict total order (EntryCenterOrder), so the element order —
-/// and therefore every downstream page — is identical for any thread count.
+/// With a `pool`, each selection round and the per-chunk scans run in
+/// parallel. The selections use a strict total order (EntryCenterOrder), so
+/// every partition's element set, tile and MBRs — and therefore every
+/// downstream page — are identical for any thread count and any input
+/// order.
 std::vector<PartitionInfo> StrPartition(std::vector<RTreeEntry>* elements,
                                         uint32_t page_capacity,
                                         const Aabb& universe,

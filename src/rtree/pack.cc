@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "parallel/parallel_sort.h"
 #include "parallel/thread_pool.h"
 #include "rtree/node.h"
 
@@ -28,6 +27,50 @@ size_t CeilSqrt(size_t value) {
   return r;
 }
 
+void StrCuts::AddSegment(size_t begin, size_t end, size_t step,
+                         size_t origin) {
+  assert(begin < end && origin <= begin && step > 0);
+  assert(cuts.empty() || cuts.back() == begin);
+  if (cuts.empty()) cuts.push_back(begin);
+  const size_t first = cuts.size() - 1;
+  for (size_t c = origin + ((begin - origin) / step + 1) * step; c < end;
+       c += step) {
+    cuts.push_back(c);
+  }
+  cuts.push_back(end);
+  segments.emplace_back(first, cuts.size() - 1);
+}
+
+void SelectPieces(std::vector<RTreeEntry>* entries, const StrCuts& cuts,
+                  int axis, ThreadPool* pool) {
+  const EntryCenterOrder order{axis};
+  RTreeEntry* data = entries->data();
+  // A span [lo, hi] of cut indexes whose ends are in place; its inner cuts
+  // are not. Each round places every span's middle cut, which leaves two
+  // independent halves.
+  using Span = std::pair<size_t, size_t>;
+  std::vector<Span> spans;
+  auto keep_open = [&spans](Span span) {
+    if (span.second - span.first >= 2) spans.push_back(span);
+  };
+  for (const Span& segment : cuts.segments) keep_open(segment);
+  while (!spans.empty()) {
+    const std::vector<Span> round = std::move(spans);
+    spans.clear();
+    ParallelFor(pool, round.size(), /*grain=*/0, [&](size_t, size_t i) {
+      const auto [lo, hi] = round[i];
+      const size_t mid = lo + (hi - lo) / 2;
+      std::nth_element(data + cuts.cuts[lo], data + cuts.cuts[mid],
+                       data + cuts.cuts[hi], order);
+    });
+    for (const auto& [lo, hi] : round) {
+      const size_t mid = lo + (hi - lo) / 2;
+      keep_open({lo, mid});
+      keep_open({mid, hi});
+    }
+  }
+}
+
 void StrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity,
               ThreadPool* pool) {
   const size_t n = entries->size();
@@ -38,35 +81,32 @@ void StrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity,
   // pages and is tiled recursively in y and z.
   const size_t sx = CeilCbrt(pages);
   const size_t slab_size = (n + sx - 1) / sx;
+  StrCuts slabs;
+  slabs.AddSegment(0, n, slab_size, 0);
+  SelectPieces(entries, slabs, 0, pool);
 
-  ParallelSort(pool, entries->begin(), entries->end(), EntryCenterOrder{0});
-
-  struct Range {
-    size_t begin;
-    size_t end;
-  };
-  std::vector<Range> slabs;
-  for (size_t xs = 0; xs < n; xs += slab_size) {
-    slabs.push_back({xs, std::min(n, xs + slab_size)});
-  }
-  ParallelFor(pool, slabs.size(), /*grain=*/1, [&](size_t, size_t s) {
-    std::sort(entries->begin() + slabs[s].begin,
-              entries->begin() + slabs[s].end, EntryCenterOrder{1});
-  });
-
-  std::vector<Range> runs;
-  for (const Range& slab : slabs) {
-    const size_t slab_n = slab.end - slab.begin;
+  StrCuts runs;
+  for (size_t s = 0; s < slabs.pieces(); ++s) {
+    const size_t begin = slabs.cuts[s];
+    const size_t slab_n = slabs.cuts[s + 1] - begin;
     const size_t slab_pages = (slab_n + node_capacity - 1) / node_capacity;
     const size_t sy = CeilSqrt(slab_pages);
     const size_t run_size = (slab_n + sy - 1) / sy;
-    for (size_t ys = slab.begin; ys < slab.end; ys += run_size) {
-      runs.push_back({ys, std::min(slab.end, ys + run_size)});
-    }
+    runs.AddSegment(begin, begin + slab_n, run_size, begin);
   }
-  ParallelFor(pool, runs.size(), /*grain=*/1, [&](size_t, size_t r) {
-    std::sort(entries->begin() + runs[r].begin, entries->begin() + runs[r].end,
-              EntryCenterOrder{2});
+  SelectPieces(entries, runs, 1, pool);
+
+  // z pass: the nodes are consecutive `node_capacity` entries of the whole
+  // array, so each run is cut at the node boundaries inside it; sorting
+  // every piece then gives each run its full z order.
+  StrCuts pieces;
+  for (size_t r = 0; r < runs.pieces(); ++r) {
+    pieces.AddSegment(runs.cuts[r], runs.cuts[r + 1], node_capacity, 0);
+  }
+  SelectPieces(entries, pieces, 2, pool);
+  ParallelFor(pool, pieces.pieces(), /*grain=*/0, [&](size_t, size_t k) {
+    std::sort(entries->begin() + pieces.cuts[k],
+              entries->begin() + pieces.cuts[k + 1], EntryCenterOrder{2});
   });
 }
 

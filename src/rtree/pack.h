@@ -1,6 +1,8 @@
 #ifndef FLAT_RTREE_PACK_H_
 #define FLAT_RTREE_PACK_H_
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "rtree/aggregates.h"
@@ -13,13 +15,14 @@ namespace flat {
 
 class ThreadPool;
 
-/// Strict *total* order on entries for the STR sorting passes: center
-/// coordinate on `axis`, tie-broken lexicographically by the box corners and
-/// finally the id. A total order makes the sorted permutation unique, so
-/// serial std::sort and the chunk-and-merge ParallelSort produce the same
-/// layout — the property behind "parallel build is byte-identical to serial".
-/// Entries that still compare equal are byte-identical, so their relative
-/// order cannot affect the output pages either.
+/// Strict *total* order on entries for the STR passes: center coordinate on
+/// `axis`, tie-broken lexicographically by the box corners and finally the
+/// id. A total order makes every sorted position's entry unique, so the set
+/// of entries a selection places between two cuts does not depend on the
+/// input order or the thread count — the property behind "parallel build is
+/// byte-identical to serial". Entries that still compare equal are
+/// byte-identical, so their relative order cannot affect the output pages
+/// either.
 struct EntryCenterOrder {
   int axis;
 
@@ -49,13 +52,42 @@ enum class LevelOrder {
   kStr,
 };
 
+/// The cuts of one STR pass: ascending positions in the entry array,
+/// grouped into segments — ranges an earlier pass already separated (a slab,
+/// a run), whose inner cuts are still to be placed. The pieces of the pass
+/// are the ranges [cuts[k], cuts[k + 1]).
+struct StrCuts {
+  std::vector<size_t> cuts;
+  /// Per segment, the indexes of its first and last cut in `cuts`.
+  std::vector<std::pair<size_t, size_t>> segments;
+
+  /// Appends the non-empty segment [begin, end), which starts where the
+  /// previous one ended, cut at every `origin + k * step` strictly inside
+  /// it (`origin <= begin`).
+  void AddSegment(size_t begin, size_t end, size_t step, size_t origin);
+  size_t pieces() const { return cuts.empty() ? 0 : cuts.size() - 1; }
+};
+
+/// Multi-way selection, the STR passes' replacement for full sorts: reorders
+/// every segment of `cuts` so that each of its pieces holds exactly the
+/// entries a sort of the segment by EntryCenterOrder{axis} would put there,
+/// in unspecified order. Each segment is halved recursively with
+/// std::nth_element at its middle cut; after each round the sub-ranges are
+/// independent, and with a `pool` they run in parallel. The result is the
+/// same for any thread count.
+void SelectPieces(std::vector<RTreeEntry>* entries, const StrCuts& cuts,
+                  int axis, ThreadPool* pool = nullptr);
+
 /// Reorders `entries` in 3-D Sort-Tile-Recursive order (Leutenegger et al.,
-/// ICDE '97 — reference [16]): sort by x-center into vertical slabs, each slab
-/// by y-center into runs, each run by z-center. `node_capacity` determines the
+/// ICDE '97 — reference [16]): x-center slabs, y-center runs within each
+/// slab, z-center order within each run. `node_capacity` determines the
 /// tile size so that consecutive runs of `node_capacity` entries form tight
-/// tiles. With a `pool` the x pass is a parallel merge sort and the per-slab
-/// y / per-run z passes sort independent ranges in parallel; the output is
-/// identical to the serial order (EntryCenterOrder is total).
+/// tiles. Only the node contents and their order matter, so the passes
+/// select rather than sort: the z pass cuts every run at the global node
+/// boundaries (a node can straddle two runs) and z-sorts each piece, which
+/// yields exactly the order of a full sort. With a `pool` the selections
+/// and piece sorts run in parallel; the output is identical to the serial
+/// order.
 void StrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity,
               ThreadPool* pool = nullptr);
 

@@ -298,7 +298,7 @@ ShardedFlatStore::ShardedFlatStore(ShardedFlatStore&&) = default;
 ShardedFlatStore& ShardedFlatStore::operator=(ShardedFlatStore&&) = default;
 
 std::shared_ptr<const ShardedFlatStore::Base> ShardedFlatStore::BuildBase(
-    std::vector<RTreeEntry> elements, const Options& options,
+    std::vector<RTreeEntry> elements, const Options& options, ThreadPool* pool,
     uint64_t generation, uint64_t overlay_floor, BuildStats* out_stats) {
   auto base = std::make_shared<Base>();
   BuildStats stats;
@@ -309,13 +309,6 @@ std::shared_ptr<const ShardedFlatStore::Base> ShardedFlatStore::BuildBase(
   base->overlay_floor = overlay_floor;
 
   if (!elements.empty()) {
-    std::optional<ThreadPool> owned_pool;
-    ThreadPool* pool = nullptr;
-    if (options.num_threads != 1) {
-      owned_pool.emplace(options.num_threads);
-      pool = &*owned_pool;
-    }
-
     // Top-level STR split: the same tiling machinery as the index build, at
     // shard granularity. Deterministic for any thread count
     // (EntryCenterOrder is total), so the shard assignment is unique —
@@ -390,9 +383,12 @@ ShardedFlatStore ShardedFlatStore::Build(std::vector<RTreeEntry> elements,
                                          BuildStats* out_stats) {
   ShardedFlatStore store;
   store.options_ = options;
-  store.state_->base = BuildBase(std::move(elements), options,
-                                 /*generation=*/1, /*overlay_floor=*/0,
-                                 &store.build_stats_);
+  std::optional<ThreadPool> owned_pool;
+  if (options.num_threads != 1) owned_pool.emplace(options.num_threads);
+  store.state_->base =
+      BuildBase(std::move(elements), options,
+                owned_pool ? &*owned_pool : nullptr, /*generation=*/1,
+                /*overlay_floor=*/0, &store.build_stats_);
   if (out_stats != nullptr) *out_stats = store.build_stats_;
   store.AttachEngine(options.num_threads);
   return store;
@@ -473,25 +469,59 @@ ShardedFlatStore::CompactionStats ShardedFlatStore::Compact() {
   // overlay entries. Base elements are re-extracted from the shard files'
   // object pages — the pages are immutable and exact (kObject pages are
   // never quantized), so this is the authoritative copy, identical for
-  // in-memory and disk-backed shards.
+  // in-memory and disk-backed shards. One task per shard file writes the
+  // shard's survivors in place at its catalog offset in `merged`; the gaps
+  // the masked ids leave are closed afterwards, so the element set is never
+  // held twice.
+  std::optional<ThreadPool> owned_pool;
+  if (options_.num_threads != 1) owned_pool.emplace(options_.num_threads);
+  ThreadPool* const pool = owned_pool ? &*owned_pool : nullptr;
+  const size_t shard_count = base->files.size();
+  std::vector<uint64_t> offset(shard_count + 1, 0);
+  for (size_t s = 0; s < shard_count; ++s) {
+    offset[s + 1] = offset[s] + base->catalog.shards[s].element_count;
+  }
   std::vector<RTreeEntry> merged;
-  merged.reserve(base->catalog.total_elements +
+  merged.reserve(offset.back() +
                  (overlay != nullptr ? overlay->live_count() : 0));
-  for (const std::unique_ptr<PageStore>& file : base->files) {
-    for (size_t page = 0; page < file->page_count(); ++page) {
+  merged.resize(offset.back());
+  std::vector<uint64_t> kept(shard_count, 0);
+  ParallelFor(pool, shard_count, /*grain=*/1, [&](size_t, size_t s) {
+    const PageStore& file = *base->files[s];
+    const uint64_t capacity = offset[s + 1] - offset[s];
+    RTreeEntry* out = merged.data() + offset[s];
+    uint64_t seen = 0;
+    uint64_t survivors = 0;
+    for (size_t page = 0; page < file.page_count(); ++page) {
       const PageId id = static_cast<PageId>(page);
-      if (file->category(id) != PageCategory::kObject) continue;
-      const NodeView node(file->Data(id));
+      if (file.category(id) != PageCategory::kObject) continue;
+      const NodeView node(file.Data(id));
+      seen += node.count();
+      if (seen > capacity) break;
       for (uint16_t i = 0; i < node.count(); ++i) {
         const RTreeEntry entry = node.EntryAt(i);
-        if (overlay != nullptr && overlay->IsTouched(entry.id)) {
-          ++cstats.deleted;
-          continue;
+        if (overlay == nullptr || !overlay->IsTouched(entry.id)) {
+          out[survivors++] = entry;
         }
-        merged.push_back(entry);
       }
     }
+    if (seen != capacity) {
+      throw std::runtime_error(
+          "ShardedFlatStore::Compact: shard " + std::to_string(s) +
+          " holds a different element count than its catalog entry");
+    }
+    kept[s] = survivors;
+  });
+  uint64_t end = 0;
+  for (size_t s = 0; s < shard_count; ++s) {
+    if (end != offset[s]) {
+      std::copy(merged.begin() + offset[s],
+                merged.begin() + offset[s] + kept[s], merged.begin() + end);
+    }
+    end += kept[s];
   }
+  merged.resize(end);
+  cstats.deleted = offset.back() - end;
   if (overlay != nullptr) {
     for (size_t b = 0; b < overlay->bucket_count(); ++b) {
       const std::vector<RTreeEntry>& bucket = overlay->bucket(b);
@@ -506,8 +536,8 @@ ShardedFlatStore::CompactionStats ShardedFlatStore::Compact() {
   // Build(merged, options_) regardless of the order `merged` was collected
   // in. The new base absorbs the window: its floor is the pinned limit.
   std::shared_ptr<const Base> next =
-      BuildBase(std::move(merged), options_, base->catalog.generation + 1,
-                limit, &cstats.build);
+      BuildBase(std::move(merged), options_, pool,
+                base->catalog.generation + 1, limit, &cstats.build);
   cstats.generation = base->catalog.generation + 1;
 
   {

@@ -18,6 +18,7 @@
 namespace flat {
 
 class OverlayView;
+class ThreadPool;
 
 /// A horizontally sharded FLAT store: one data set spatially partitioned into
 /// K independent FlatIndexes ("shards"), each in its own PageFile, behind a
@@ -30,10 +31,11 @@ class OverlayView;
 ///
 ///  - **Split.** A top-level STR pass (the same Sort-Tile-Recursive machinery
 ///    as Algorithm 1, via StrPartition with shard-sized capacity) divides the
-///    elements into ~`num_shards` spatially tight, disjoint element sets.
-///    The split uses the strict total EntryCenterOrder, so the shard
-///    assignment — and every shard's PageFile — is byte-identical for any
-///    thread count.
+///    elements into about `num_shards` spatially tight, disjoint element
+///    sets (Options::num_shards gives the exact count). Its x/y/z cuts are
+///    placed by selection, not by sorting, under the strict total
+///    EntryCenterOrder, so the shard assignment — and every shard's
+///    PageFile — is byte-identical for any thread count.
 ///  - **Build.** Each shard's FlatIndex is bulk-built independently; shard
 ///    builds fan out over a shared ThreadPool (one serial build per worker at
 ///    a time), so K shards build in parallel end to end.
@@ -57,8 +59,9 @@ class OverlayView;
 /// existing id replaces its box); erasing an absent id is a no-op. The log
 /// position is the store's **epoch**: PinSnapshot captures (base, epoch) so
 /// any number of threads can query one consistent view — snapshot isolation
-/// — while a writer appends and compaction runs. `Compact` folds the window
-/// into a fresh parallel bulkload and atomically swaps the base; the
+/// — while a writer appends and compaction runs. `Compact` re-extracts the
+/// base elements in parallel (one task per shard file, in place), folds the
+/// window into a fresh parallel bulkload and atomically swaps the base; the
 /// compacted store's shard PageFiles are byte-identical to a fresh Build of
 /// the merged elements (enforced by tests/snapshot_isolation_test.cc).
 ///
@@ -86,9 +89,13 @@ class ShardedFlatStore {
 
  public:
   struct Options {
-    /// Target shard count. The STR split tiles space with roughly this many
-    /// partitions; the actual count (`shard_count()`) can differ slightly
-    /// for awkward element/shard ratios. 1 always yields exactly one shard.
+    /// Target shard count. The split is StrPartition with page capacity
+    /// c = ceil(n / num_shards) over the n elements, so the actual count
+    /// (`shard_count()`) is that STR tiling's: ceil(cbrt(P)) x-slabs for
+    /// P = ceil(n / c), each slab cut into ceil(sqrt(its pages)) y-runs,
+    /// each run into ceil(its elements / c) shards. Each axis rounds up, so
+    /// the count can exceed the target: 5 gives 2 x 2 x 2 = 8 shards on
+    /// 12 000 elements, while 1, 4 and 8 give exactly 1, 4 and 8.
     size_t num_shards = 4;
     /// Threads for the shard builds and the query engine, the calling
     /// thread included: 1 (default) is serial, 0 uses
@@ -334,8 +341,10 @@ class ShardedFlatStore {
   /// A batch of one through the store's engine, at the current epoch.
   QueryResult RunSingle(const Query& query) const;
 
+  /// `pool` (null = serial) runs the split and the shard builds.
   static std::shared_ptr<const Base> BuildBase(std::vector<RTreeEntry> elements,
                                                const Options& options,
+                                               ThreadPool* pool,
                                                uint64_t generation,
                                                uint64_t overlay_floor,
                                                BuildStats* stats);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <optional>
+#include <string>
+
+#include "parallel/thread_pool.h"
 #include "rtree/node.h"
 #include "tests/test_util.h"
 
@@ -9,6 +15,8 @@ namespace flat {
 namespace {
 
 using testing::RandomEntries;
+using testing::TieHeavyEntries;
+using testing::TieKind;
 
 TEST(StrOrderTest, SmallInputUnchangedInSize) {
   auto entries = RandomEntries(10, 1);
@@ -46,6 +54,87 @@ TEST(StrOrderTest, ConsecutiveRunsAreSpatiallyTight) {
 
   StrOrder(&entries, cap);
   EXPECT_LT(run_volume(entries), 0.2 * run_volume(shuffled));
+}
+
+// The sort-based formulation of StrOrder — a full sort per pass — kept as
+// the reference oracle for the selection-based one.
+void OracleStrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity) {
+  const size_t n = entries->size();
+  if (n <= node_capacity) return;
+  const size_t pages = (n + node_capacity - 1) / node_capacity;
+  const size_t sx = CeilCbrt(pages);
+  const size_t slab_size = (n + sx - 1) / sx;
+  std::sort(entries->begin(), entries->end(), EntryCenterOrder{0});
+  for (size_t xs = 0; xs < n; xs += slab_size) {
+    const size_t slab_end = std::min(n, xs + slab_size);
+    std::sort(entries->begin() + xs, entries->begin() + slab_end,
+              EntryCenterOrder{1});
+    const size_t slab_n = slab_end - xs;
+    const size_t sy = CeilSqrt((slab_n + node_capacity - 1) / node_capacity);
+    const size_t run_size = (slab_n + sy - 1) / sy;
+    for (size_t ys = xs; ys < slab_end; ys += run_size) {
+      std::sort(entries->begin() + ys,
+                entries->begin() + std::min(slab_end, ys + run_size),
+                EntryCenterOrder{2});
+    }
+  }
+}
+
+// The selection-based StrOrder gives the oracle's order bit for bit — nodes
+// that straddle two runs included — at every thread count.
+TEST(StrOrderTest, MatchesTheSortBasedOracle) {
+  struct Case {
+    std::string name;
+    std::vector<RTreeEntry> entries;
+    uint32_t capacity;
+  };
+  std::vector<Case> cases;
+  for (size_t n : {0, 1, 72, 73, 74, 5000, 20000}) {
+    cases.push_back({"random_" + std::to_string(n), RandomEntries(n, 95), 73});
+  }
+  cases.push_back({"random_cap12", RandomEntries(2999, 96), 12});
+  cases.push_back({"random_cap250", RandomEntries(9001, 97), 250});
+  cases.push_back({"random_cap1", RandomEntries(200, 98), 1});
+  const std::pair<TieKind, const char*> kinds[] = {
+      {TieKind::kEqualCenters, "equal_centers"},
+      {TieKind::kIdenticalBoxes, "identical_boxes"},
+      {TieKind::kZeroVolume, "zero_volume"}};
+  for (const auto& [kind, name] : kinds) {
+    cases.push_back({name, TieHeavyEntries(kind, 4001, 99), 73});
+    cases.push_back(
+        {std::string(name) + "_cap9", TieHeavyEntries(kind, 700, 100), 9});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<RTreeEntry> expected = c.entries;
+    OracleStrOrder(&expected, c.capacity);
+    for (size_t threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      std::optional<ThreadPool> pool;
+      if (threads > 1) pool.emplace(threads);
+      std::vector<RTreeEntry> actual = c.entries;
+      StrOrder(&actual, c.capacity, pool ? &*pool : nullptr);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(std::memcmp(&actual[i], &expected[i], sizeof(RTreeEntry)), 0)
+            << "entry " << i;
+      }
+    }
+  }
+}
+
+TEST(StrCutsTest, CutsAtStepsFromTheOrigin) {
+  StrCuts cuts;
+  cuts.AddSegment(0, 10, 4, 0);   // 0 | 4 | 8 | 10
+  cuts.AddSegment(10, 17, 4, 0);  // global multiples: 12, 16
+  cuts.AddSegment(17, 20, 5, 17);  // no inner cut
+  EXPECT_EQ(cuts.cuts, (std::vector<size_t>{0, 4, 8, 10, 12, 16, 17, 20}));
+  ASSERT_EQ(cuts.segments.size(), 3u);
+  EXPECT_EQ(cuts.segments[0], (std::pair<size_t, size_t>{0, 3}));
+  EXPECT_EQ(cuts.segments[1], (std::pair<size_t, size_t>{3, 6}));
+  EXPECT_EQ(cuts.segments[2], (std::pair<size_t, size_t>{6, 7}));
+  EXPECT_EQ(cuts.pieces(), 7u);
 }
 
 TEST(PackLevelTest, PacksFullPagesInOrder) {

@@ -24,6 +24,7 @@
 #include "data/neuron_generator.h"
 #include "data/uniform_generator.h"
 #include "geometry/rng.h"
+#include "rtree/pack.h"
 #include "shard/shard_catalog.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -357,6 +358,39 @@ TEST(ShardedStoreTest, ShardPageFilesAreByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// The shard count is the STR tiling's page count at capacity
+// c = ceil(n / num_shards) — a function of n and the target alone — which
+// rounds up on every axis and so can exceed the target.
+TEST(ShardedStoreTest, ShardCountIsTheStrTilingsPageCount) {
+  const size_t n = 12000;
+  const std::vector<RTreeEntry> entries = RandomEntries(n, /*seed=*/47);
+  auto tiling_pages = [n](size_t target) {
+    const size_t c = (n + target - 1) / target;
+    const size_t sx = CeilCbrt((n + c - 1) / c);
+    const size_t slab = (n + sx - 1) / sx;
+    size_t pages = 0;
+    for (size_t xs = 0; xs < n; xs += slab) {
+      const size_t slab_n = std::min(slab, n - xs);
+      const size_t sy = CeilSqrt((slab_n + c - 1) / c);
+      const size_t run = (slab_n + sy - 1) / sy;
+      for (size_t ys = 0; ys < slab_n; ys += run) {
+        pages += (std::min(run, slab_n - ys) + c - 1) / c;
+      }
+    }
+    return pages;
+  };
+  for (const auto& [target, shards] :
+       {std::pair<size_t, size_t>{1, 1}, {4, 4}, {5, 8}, {8, 8}}) {
+    EXPECT_EQ(tiling_pages(target), shards) << "target " << target;
+  }
+  for (size_t target = 1; target <= 12; ++target) {
+    SCOPED_TRACE("target " + std::to_string(target));
+    const ShardedFlatStore store =
+        ShardedFlatStore::Build(entries, {.num_shards = target});
+    EXPECT_EQ(store.shard_count(), tiling_pages(target));
+  }
+}
+
 TEST(ShardedStoreTest, SaveLoadRoundTripIsBitIdentical) {
   const std::vector<RTreeEntry> entries = RandomEntries(12000, /*seed=*/51);
   ShardedFlatStore store =
@@ -589,6 +623,35 @@ TEST(ShardedStoreTest, StaleGenerationsAreRejected) {
               std::string::npos)
         << "actual message: " << error.what();
   }
+  std::filesystem::remove_all(dir);
+}
+
+// Compact writes each shard's elements at the offset its catalog count
+// implies, so a catalog whose per-shard counts disagree with the shard files
+// (the total still adding up) must be refused, not overrun.
+TEST(ShardedStoreTest, CompactRejectsCatalogCountsThatDisagreeWithShards) {
+  ShardedFlatStore store =
+      ShardedFlatStore::Build(RandomEntries(6000, /*seed=*/56),
+                              {.num_shards = 4, .num_threads = 2});
+  ASSERT_EQ(store.shard_count(), 4u);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "flat_sharded_store_counts";
+  std::filesystem::remove_all(dir);
+  store.Save(dir.string());
+  {
+    ShardCatalog catalog = store.catalog();
+    catalog.shards[0].element_count -= 1;
+    catalog.shards[1].element_count += 1;
+    std::ostringstream bytes;
+    SaveShardCatalog(catalog, bytes);
+    std::ofstream out(dir / "catalog.flatshard", std::ios::binary);
+    out << bytes.str();
+  }
+  ShardedFlatStore loaded = ShardedFlatStore::Load(dir.string(), 2);
+  loaded.Erase(0);
+  EXPECT_THROW(loaded.Compact(), std::runtime_error);
+  EXPECT_EQ(loaded.generation(), store.generation());
+  EXPECT_EQ(loaded.overlay_op_count(), 1u);
   std::filesystem::remove_all(dir);
 }
 

@@ -9,12 +9,16 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "rtree/node.h"
 #include "shard/sharded_flat_store.h"
 #include "storage/persistence.h"
 #include "tests/test_util.h"
@@ -159,6 +163,93 @@ TEST(SnapshotIsolationTest, CompactionIsByteIdenticalToFreshBulkload) {
   // And the merged view still answers like the oracle.
   for (const Aabb& q : RandomQueries(10, /*seed=*/33)) {
     EXPECT_EQ(store.RangeQuery(q), mirror.RangeQuery(q));
+  }
+}
+
+std::string FileBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The parallel compaction merge writes each shard's survivors in place and
+// then closes the gaps. A window that empties one shard entirely and moves
+// elements across shard bounds exercises every gap shape; the saved shard
+// files must still be byte-identical to a fresh Build of the merged set, at
+// every thread count.
+TEST(SnapshotIsolationTest, CompactionThatEmptiesAShardMatchesFreshBuild) {
+  const std::vector<RTreeEntry> entries = RandomEntries(6000, /*seed=*/35);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const ShardedFlatStore::Options options{
+        .num_shards = 4, .num_threads = threads, .aggregate_counts = true};
+    ShardedFlatStore store = ShardedFlatStore::Build(entries, options);
+    ASSERT_EQ(store.shard_count(), 4u);
+    OracleMirror mirror(entries);
+
+    // Per shard, its ids as stored on its object pages.
+    std::vector<std::vector<uint64_t>> shard_ids(store.shard_count());
+    for (size_t s = 0; s < store.shard_count(); ++s) {
+      const PageStore& file = store.shard_file(s);
+      for (size_t page = 0; page < file.page_count(); ++page) {
+        const PageId id = static_cast<PageId>(page);
+        if (file.category(id) != PageCategory::kObject) continue;
+        const NodeView node(file.Data(id));
+        for (uint16_t i = 0; i < node.count(); ++i) {
+          shard_ids[s].push_back(node.IdAt(i));
+        }
+      }
+    }
+    // Empty shard 1, move every third element of shard 2 into shard 3's
+    // bounds and of shard 3 into shard 0's, and add new ids in the emptied
+    // shard's space.
+    auto apply = [&](const RTreeEntry& e) {
+      store.Insert(e);
+      mirror.Insert(e);
+    };
+    for (const uint64_t id : shard_ids[1]) {
+      store.Erase(id);
+      mirror.Erase(id);
+    }
+    const auto& shards = store.catalog().shards;
+    const Vec3 half(0.25, 0.25, 0.25);
+    for (size_t i = 0; i < shard_ids[2].size(); i += 3) {
+      apply({Aabb::FromCenterHalfExtents(shards[3].bounds.Center(), half),
+             shard_ids[2][i]});
+    }
+    for (size_t i = 0; i < shard_ids[3].size(); i += 3) {
+      apply({Aabb::FromCenterHalfExtents(shards[0].bounds.Center(), half),
+             shard_ids[3][i]});
+    }
+    for (uint64_t id = 10000; id < 10100; ++id) {
+      apply({Aabb::FromCenterHalfExtents(shards[1].bounds.Center(), half),
+             id});
+    }
+
+    const ShardedFlatStore::CompactionStats cstats = store.Compact();
+    EXPECT_EQ(cstats.merged_elements, mirror.size());
+    ShardedFlatStore fresh =
+        ShardedFlatStore::Build(mirror.LiveElements(), options);
+    ASSERT_EQ(store.shard_count(), fresh.shard_count());
+
+    const std::filesystem::path root =
+        std::filesystem::temp_directory_path() / "flat_compaction_gap_test";
+    std::filesystem::remove_all(root);
+    store.Save((root / "compacted").string());
+    fresh.Save((root / "fresh").string());
+    for (size_t s = 0; s < store.shard_count(); ++s) {
+      const std::string name = store.catalog().shards[s].page_file_name;
+      SCOPED_TRACE(name);
+      EXPECT_EQ(name, fresh.catalog().shards[s].page_file_name);
+      EXPECT_EQ(store.catalog().shards[s].bounds,
+                fresh.catalog().shards[s].bounds);
+      EXPECT_EQ(store.catalog().shards[s].tile, fresh.catalog().shards[s].tile);
+      for (const std::string file : {name, name + ".agg"}) {
+        const std::string compacted = FileBytes(root / "compacted" / file);
+        ASSERT_FALSE(compacted.empty()) << file;
+        EXPECT_TRUE(compacted == FileBytes(root / "fresh" / file)) << file;
+      }
+    }
+    std::filesystem::remove_all(root);
   }
 }
 

@@ -35,6 +35,57 @@ inline std::vector<RTreeEntry> RandomEntries(size_t count, uint64_t seed,
   return entries;
 }
 
+/// Tie-heavy inputs for the STR tests, each in shuffled order.
+enum class TieKind {
+  kEqualCenters,    ///< every center equal: the corners break the ties
+  kIdenticalBoxes,  ///< one box under distinct ids: the ids break the ties
+  kZeroVolume,      ///< points and flat boxes on a coarse grid, -0.0 included
+};
+
+inline std::vector<RTreeEntry> TieHeavyEntries(TieKind kind, size_t count,
+                                               uint64_t seed) {
+  Rng rng(seed);
+  // Eighths and small integers are exact in binary, so the centers computed
+  // from these boxes tie exactly.
+  auto eighths = [&rng] {
+    return static_cast<double>(rng.UniformInt(1, 8)) / 8.0;
+  };
+  const double grid[] = {-1.0, -0.0, 0.0, 1.0, 2.0};
+  auto grid_point = [&] {
+    return Vec3(grid[rng.UniformInt(0, 4)], grid[rng.UniformInt(0, 4)],
+                grid[rng.UniformInt(0, 4)]);
+  };
+  std::vector<RTreeEntry> entries;
+  entries.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    Aabb box;
+    switch (kind) {
+      case TieKind::kEqualCenters: {
+        const Vec3 center(50, 50, 50);
+        const Vec3 half(eighths(), eighths(), eighths());
+        box = Aabb(center - half, center + half);
+        break;
+      }
+      case TieKind::kIdenticalBoxes:
+        box = Aabb(Vec3(1, 1, 1), Vec3(2, 2, 2));
+        break;
+      case TieKind::kZeroVolume: {
+        const Vec3 lo = grid_point();
+        Vec3 hi = lo;
+        if (i % 2 == 1) hi.At(static_cast<int>(i / 2 % 3)) += 1.0;  // flat box
+        box = Aabb(lo, hi);
+        break;
+      }
+    }
+    entries.push_back(RTreeEntry{box, i});
+  }
+  for (size_t i = entries.size(); i > 1; --i) {
+    std::swap(entries[i - 1],
+              entries[rng.UniformInt(0, static_cast<int64_t>(i) - 1)]);
+  }
+  return entries;
+}
+
 /// Oracle: ids of entries intersecting `query`, sorted.
 inline std::vector<uint64_t> BruteForce(const std::vector<RTreeEntry>& entries,
                                         const Aabb& query) {
