@@ -32,7 +32,6 @@ struct Segment {
 // between the last center of the left chunk and the first center of the
 // right chunk — so every element's center stays inside its own tile — and
 // the outermost chunks extend to [axis_lo, axis_hi].
-
 std::vector<std::vector<Chunk>> TilePass(std::vector<RTreeEntry>* elements,
                                          const std::vector<Segment>& segments,
                                          int axis, double axis_lo,

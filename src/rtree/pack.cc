@@ -88,11 +88,10 @@ void StrOrder(std::vector<RTreeEntry>* entries, uint32_t node_capacity,
   StrCuts runs;
   for (size_t s = 0; s < slabs.pieces(); ++s) {
     const size_t begin = slabs.cuts[s];
-    const size_t slab_n = slabs.cuts[s + 1] - begin;
-    const size_t slab_pages = (slab_n + node_capacity - 1) / node_capacity;
+    const size_t end = slabs.cuts[s + 1];
+    const size_t slab_pages = (end - begin + node_capacity - 1) / node_capacity;
     const size_t sy = CeilSqrt(slab_pages);
-    const size_t run_size = (slab_n + sy - 1) / sy;
-    runs.AddSegment(begin, begin + slab_n, run_size, begin);
+    runs.AddSegment(begin, end, (end - begin + sy - 1) / sy, begin);
   }
   SelectPieces(entries, runs, 1, pool);
 
