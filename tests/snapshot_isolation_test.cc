@@ -243,7 +243,7 @@ TEST(SnapshotIsolationTest, CompactionThatEmptiesAShardMatchesFreshBuild) {
       EXPECT_EQ(store.catalog().shards[s].bounds,
                 fresh.catalog().shards[s].bounds);
       EXPECT_EQ(store.catalog().shards[s].tile, fresh.catalog().shards[s].tile);
-      for (const std::string file : {name, name + ".agg"}) {
+      for (const std::string& file : {name, name + ".agg"}) {
         const std::string compacted = FileBytes(root / "compacted" / file);
         ASSERT_FALSE(compacted.empty()) << file;
         EXPECT_TRUE(compacted == FileBytes(root / "fresh" / file)) << file;
